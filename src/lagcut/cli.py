@@ -42,17 +42,10 @@ from .fold import (
     roots_of_unity_residual,
     torus_identity_check,
 )
-from .obstruct import (
-    HypothesisViolation,
-    check_lens,
-    check_product_spheres,
-    check_sphere,
-    check_torus,
-    exact_verdict,
-    scan,
-)
+from .obstruct import FAMILIES, HypothesisViolation, scan
 
-_SCAN_PARAMS = ("d", "euler", "grading", "l", "m", "p", "n")
+# every family parameter, first-seen order, so argparse messages keep it
+_SCAN_PARAMS = tuple(dict.fromkeys(p for params, _ in FAMILIES.values() for p in params))
 
 
 class UsageError(Exception):
@@ -248,40 +241,16 @@ def _build_parser() -> _Parser:
     check = sub.add_parser("check", help="run one verdict pipeline")
     targets = check.add_subparsers(dest="target", required=True)
 
-    sphere = targets.add_parser("sphere")
-    sphere.add_argument("--d", type=int, required=True)
-    sphere.add_argument("--euler", type=int, required=True)
-    sphere.add_argument("--grading", type=int, required=True)
-    _add_format(sphere)
-
-    torus = targets.add_parser("torus")
-    torus.add_argument("--d", type=int, required=True)
-    torus.add_argument("--euler", type=int, required=True)
-    _add_format(torus)
-
-    prodsph = targets.add_parser("prodsph")
-    prodsph.add_argument("--l", type=int, required=True)
-    prodsph.add_argument("--m", type=int, required=True)
-    prodsph.add_argument("--euler", type=int, required=True)
-    _add_format(prodsph)
-
-    lens = targets.add_parser("lens")
-    lens.add_argument("--p", type=int, required=True)
-    lens.add_argument("--n", type=int, required=True)
-    _add_format(lens)
-
-    exact = targets.add_parser("exact")
-    exact.add_argument("--d", type=int, required=True)
-    exact.add_argument("--euler", type=int, required=True)
-    exact.add_argument("--surjectivity", action="store_true")
-    _add_format(exact)
+    for family, (params, _) in FAMILIES.items():
+        target = targets.add_parser(family)
+        for name in params:
+            target.add_argument(f"--{name}", type=int, required=True)
+        if family == "exact":
+            target.add_argument("--surjectivity", action="store_true")
+        _add_format(target)
 
     scan_p = sub.add_parser("scan", help="run a pipeline over a parameter grid")
-    scan_p.add_argument(
-        "--family",
-        required=True,
-        choices=("sphere", "torus", "prodsph", "lens", "exact"),
-    )
+    scan_p.add_argument("--family", required=True, choices=tuple(FAMILIES))
     for name in _SCAN_PARAMS:
         scan_p.add_argument(f"--{name}", type=str, help="integer or lo..hi")
     scan_p.add_argument("--surjectivity", action="store_true")
@@ -350,16 +319,8 @@ def _cmd_fold(ns: argparse.Namespace) -> tuple[int, dict[str, Any]]:
 
 
 def _cmd_check(ns: argparse.Namespace) -> tuple[int, dict[str, Any]]:
-    if ns.target == "sphere":
-        verdict = check_sphere(ns.d, ns.euler, ns.grading)
-    elif ns.target == "torus":
-        verdict = check_torus(ns.d, ns.euler)
-    elif ns.target == "prodsph":
-        verdict = check_product_spheres(ns.l, ns.m, ns.euler)
-    elif ns.target == "lens":
-        verdict = check_lens(ns.p, ns.n)
-    else:
-        verdict = exact_verdict(ns.d, ns.euler, ns.surjectivity)
+    params, check = FAMILIES[ns.target]
+    verdict = check({p: getattr(ns, p) for p in params}, getattr(ns, "surjectivity", False))
     return 0, verdict.to_json_dict()
 
 

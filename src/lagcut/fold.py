@@ -97,9 +97,11 @@ def torus_identity_check(d: int, N: int) -> TorusIdentityReport:
 def roots_of_unity_residual(d: int, N: int) -> float:
     """Relative gap between N*S_0 - 2^d and its trigonometric closed form.
 
-    The integer left side is the oracle.  The float side evaluates
-    sum over k of (2 cos(k pi / N))^d * cos(k d pi / N) for k = 1..N-1,
-    which is the real expansion of the roots-of-unity filter.
+    The integer left side is the oracle.  The float side is the real
+    expansion of the roots-of-unity filter, sum over k = 1..N-1 of
+    (2 cos(k pi / N))^d * cos(k d pi / N).  Both sides are divided by 2^d
+    before any float is formed (integer true division rounds the exact
+    quotient), so large d cannot overflow.
     """
     if d < 0:
         raise ValueError("d must be >= 0")
@@ -108,8 +110,8 @@ def roots_of_unity_residual(d: int, N: int) -> float:
     left = N * binomial_fold_sum(d, N, 0) - (1 << d)
     trig = 0.0
     for k in range(1, N):
-        trig += (2.0 * math.cos(math.pi * k / N)) ** d * math.cos(math.pi * k * d / N)
-    return abs(left - trig) / max(1.0, float(1 << d))
+        trig += math.cos(math.pi * k / N) ** d * math.cos(math.pi * k * d / N)
+    return abs(left / (1 << d) - trig)
 
 
 def cp_profile_match(p: FoldedProfile, d: int) -> bool:

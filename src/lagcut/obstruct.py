@@ -6,22 +6,22 @@ stable rule identifiers so reasoning can be diffed, not just outcomes.
 
 Statuses never include "unobstructed": the machinery can rule embeddings
 out or constrain them, but it cannot certify that one exists.
+
+`FAMILIES` registers each candidate family once: its parameter names in
+scan order, and a call of its check taking the parameters as a dict plus
+the surjectivity flag.  `scan` and the command line's `check` and `scan`
+subcommands are all built from it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
-from .coring import (
-    make_complex_projective,
-    make_product_spheres,
-    make_sphere,
-    make_torus,
-)
-from .fold import fold_mod, is_two_periodic, torus_identity_check
-from .floer import ss_collapse_certificate
+from .coring import make_complex_projective, make_product_spheres, make_torus
+from .fold import fold_mod, is_two_periodic
+from .floer import oh_profiles, sphere_local_rule, ss_collapse_certificate
 
 OBSTRUCTED = "Obstructed"
 CONSTRAINED = "Constrained"
@@ -293,22 +293,24 @@ def check_sphere(d: int, N_e: int, N: int) -> Verdict:
         )
         return Verdict(INCONCLUSIVE, None, tuple(trace))
 
-    forced = (d + 1) % n_l != 0
-    if forced:
+    local = sphere_local_rule(d, N_e)
+    if local is not None:
         trace.append(
             TraceStep(
                 CITE_SPHERE_LOCAL_FLOER,
                 f"2 N_W = {n_l} does not divide d + 1 = {d + 1}: HF = H^*",
             )
         )
-        if n_l >= d + 2:
+        # n_l does not divide d + 1 here, so n_l != d + 1 and a nonempty
+        # Maslov-range set is exactly {HF = H^*}
+        if oh_profiles(local.source, n_l):
             trace.append(
                 TraceStep(
                     CITE_OH_MASLOV_RANGE,
                     f"also forced by the Maslov range: N_L = {n_l} >= d + 2 = {d + 2}",
                 )
             )
-        profile = fold_mod(make_sphere(d), N)
+        profile = local.fold(N)
         periodic = is_two_periodic(profile)
         trace.append(
             TraceStep(
@@ -374,16 +376,8 @@ def check_torus(d: int, N_e: int) -> Verdict:
     for N in candidates:
         if N < 4:
             continue
+        # always valid: degree-1 generators and N >= 4 make every target 2 - rN < 0
         cert = ss_collapse_certificate(ring, N)
-        if cert is None:
-            retained.append(N)
-            trace.append(
-                TraceStep(
-                    CITE_COLLAPSE_CERTIFICATE,
-                    f"N = {N}: collapse not certified, grading not excludable",
-                )
-            )
-            continue
         trace.append(
             TraceStep(
                 CITE_COLLAPSE_CERTIFICATE,
@@ -391,23 +385,25 @@ def check_torus(d: int, N_e: int) -> Verdict:
                 f"are empty (nu = {cert.nu}), so HF = H^*",
             )
         )
-        report = torus_identity_check(d, N)
-        if report.holds:
+        # For even N the even and odd binomial sums are each 2^(d-1), so
+        # the fold is 2-periodic exactly when it equidistributes.
+        profile = fold_mod(ring, N)
+        ns0 = N * profile.dims[0]
+        if is_two_periodic(profile):
             retained.append(N)
             trace.append(
                 TraceStep(
                     CITE_FOLD_PERIODICITY,
                     f"N = {N}: folded dimensions equidistribute "
-                    f"(N*S_0 = {report.NS0} = 2^d), grading retained",
+                    f"(N*S_0 = {ns0} = 2^d), grading retained",
                 )
             )
         else:
-            profile = fold_mod(ring, N)
             trace.append(
                 TraceStep(
                     CITE_FOLD_PERIODICITY,
                     f"N = {N}: S = {profile.dims} is not equidistributed "
-                    f"(N*S_0 = {report.NS0}, 2^d = {report.pow}): excluded",
+                    f"(N*S_0 = {ns0}, 2^d = {1 << d}): excluded",
                 )
             )
     trace.append(
@@ -451,16 +447,8 @@ def check_product_spheres(l: int, m: int, N_e: int) -> Verdict:
         if N <= bound:
             admissible.append(N)
             continue
-        cert = ss_collapse_certificate(ring, N)
-        if cert is None:
-            admissible.append(N)
-            trace.append(
-                TraceStep(
-                    CITE_COLLAPSE_CERTIFICATE,
-                    f"N = {N}: collapse not certified, grading not excludable",
-                )
-            )
-            continue
+        # always valid: N >= m + 2 puts every target g + 1 - rN below 0
+        ss_collapse_certificate(ring, N)
         targets = sorted({g + 1 - N for g in set(ring.generator_degrees)})
         trace.append(
             TraceStep(
@@ -558,12 +546,20 @@ def check_lens(p: int, n: int) -> Verdict:
     return Verdict(CONSTRAINED, {"m": admissible}, tuple(trace))
 
 
-_FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
-    "sphere": ("d", "euler", "grading"),
-    "torus": ("d", "euler"),
-    "prodsph": ("l", "m", "euler"),
-    "lens": ("p", "n"),
-    "exact": ("d", "euler"),
+FAMILIES: dict[str, tuple[tuple[str, ...], Callable[[dict[str, int], bool], Verdict]]] = {
+    # The checks are looked up as module globals on each call, so a
+    # rebinding of obstruct.check_* reaches scan and the command line.
+    "sphere": (
+        ("d", "euler", "grading"),
+        lambda p, s: check_sphere(p["d"], p["euler"], p["grading"]),
+    ),
+    "torus": (("d", "euler"), lambda p, s: check_torus(p["d"], p["euler"])),
+    "prodsph": (
+        ("l", "m", "euler"),
+        lambda p, s: check_product_spheres(p["l"], p["m"], p["euler"]),
+    ),
+    "lens": (("p", "n"), lambda p, s: check_lens(p["p"], p["n"])),
+    "exact": (("d", "euler"), lambda p, s: exact_verdict(p["d"], p["euler"], s)),
 }
 
 
@@ -574,12 +570,13 @@ def scan(
 ) -> list[ScanRow]:
     """Run one check over a parameter grid, rows in lexicographic order.
 
-    Rows whose parameters violate a check's hypotheses are kept in place
-    with the violated rule recorded, so one bad row never aborts a sweep.
+    Rows whose parameters violate a check's hypotheses or fall outside its
+    domain are kept in place with the violated rule recorded (cite
+    "usage-error" for the latter), so one bad row never aborts a sweep.
     """
-    if family not in _FAMILY_PARAMS:
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    order = _FAMILY_PARAMS[family]
+    order, check = FAMILIES[family]
     required = [p for p in order if p != "grading"]
     for p in required:
         if p not in ranges:
@@ -595,26 +592,10 @@ def scan(
         if family == "sphere" and "grading" not in params:
             params["grading"] = 2 * params["euler"]
         try:
-            verdict = _dispatch(family, params, use_surjectivity)
+            verdict = check(params, use_surjectivity)
             rows.append(ScanRow(params=params, verdict=verdict, error=None))
-        except HypothesisViolation as hv:
-            rows.append(
-                ScanRow(
-                    params=params,
-                    verdict=None,
-                    error={"cite": hv.cite, "message": str(hv)},
-                )
-            )
+        except (HypothesisViolation, ValueError) as exc:
+            cite = exc.cite if isinstance(exc, HypothesisViolation) else "usage-error"
+            error = {"cite": cite, "message": str(exc)}
+            rows.append(ScanRow(params=params, verdict=None, error=error))
     return rows
-
-
-def _dispatch(family: str, params: dict[str, int], use_surjectivity: bool) -> Verdict:
-    if family == "sphere":
-        return check_sphere(params["d"], params["euler"], params["grading"])
-    if family == "torus":
-        return check_torus(params["d"], params["euler"])
-    if family == "prodsph":
-        return check_product_spheres(params["l"], params["m"], params["euler"])
-    if family == "lens":
-        return check_lens(params["p"], params["n"])
-    return exact_verdict(params["d"], params["euler"], use_surjectivity)

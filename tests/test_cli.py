@@ -116,6 +116,13 @@ def test_identity_holding_case():
     assert doc["S"] == [4, 4]
 
 
+def test_identity_large_d_has_residual():
+    code, doc = run_json(["identity", "--d", "1024", "--modulus", "4"])
+    assert code == 0
+    assert doc["pow"] == 1 << 1024
+    assert doc["residual"] <= 1e-9
+
+
 def test_identity_rejects_odd_modulus():
     code, out = run(["identity", "--d", "5", "--modulus", "3"])
     assert code == 1
@@ -241,6 +248,38 @@ def test_scan_violation_rows_exit_two():
     assert doc["rows"][0]["verdict"] is None
 
 
+def test_scan_keeps_rows_outside_the_domain():
+    # the three l > m rows fall outside the prodsph domain; they keep their
+    # place with a usage-error instead of aborting the scan
+    code, doc = run_json(
+        ["scan", "--family", "prodsph", "--l", "1..3", "--m", "1..3", "--euler", "4"]
+    )
+    assert code == 2
+    assert len(doc["rows"]) == 9
+    errors = [r for r in doc["rows"] if r["error"] is not None]
+    assert [(r["params"]["l"], r["params"]["m"]) for r in errors] == [(2, 1), (3, 1), (3, 2)]
+    assert all(r["error"]["cite"] == "usage-error" and r["verdict"] is None for r in errors)
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("sphere", {"d": 5, "euler": 4, "grading": 8}),
+        ("torus", {"d": 6, "euler": 12}),
+        ("prodsph", {"l": 2, "m": 4, "euler": 8}),
+        ("lens", {"p": 7, "n": 3}),
+        ("exact", {"d": 7, "euler": 6}),
+    ],
+)
+def test_check_matches_one_point_scan(family, params):
+    options = [token for name, value in params.items() for token in (f"--{name}", str(value))]
+    code, verdict = run_json(["check", family, *options])
+    assert code == 0
+    code, doc = run_json(["scan", "--family", family, *options])
+    assert code == 0
+    assert doc["rows"] == [{"params": params, "verdict": verdict, "error": None}]
+
+
 def test_scan_text_mode_lists_rows():
     code, out = run(["scan", "--family", "torus", "--d", "2..3", "--euler", "1"])
     assert code == 0
@@ -290,6 +329,22 @@ def test_batch_runs_entries_in_order(tmp_path):
     assert report[0]["report"]["status"] == "Constrained"
     assert report[1]["report"]["error"]["cite"] == "grading-divides-twice-chern"
     assert report[2]["report"]["N_V"] == 2
+
+
+def test_batch_keeps_reports_beside_a_large_identity(tmp_path):
+    path = write_batch(
+        tmp_path,
+        [
+            {"command": "identity", "args": ["--d", "1024", "--modulus", "4"]},
+            {"command": "check", "args": ["lens", "--p", "7", "--n", "3"]},
+        ],
+    )
+    code, out = run(["--batch", path])
+    assert code == 0
+    report = json.loads(out)
+    assert [entry["exit"] for entry in report] == [0, 0]
+    assert report[0]["report"]["residual"] <= 1e-9
+    assert report[1]["report"]["constraints"] == {"m": [1]}
 
 
 def test_batch_empty_is_empty_report(tmp_path):

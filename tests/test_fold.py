@@ -110,6 +110,16 @@ def test_identity_check_rejects_odd_modulus():
         torus_identity_check(5, 1)
 
 
+def test_torus_fold_periodicity_matches_identity():
+    # for even N the even and odd binomial sums are each 2^(d-1), so a
+    # 2-periodic torus fold is an equidistributed one
+    for d in range(1, 41):
+        ring = make_torus(d)
+        for N in range(4, 3 * d + 1, 2):
+            periodic = is_two_periodic(fold_mod(ring, N))
+            assert periodic == torus_identity_check(d, N).holds, (d, N)
+
+
 def test_two_periodicity():
     assert is_two_periodic(FoldedProfile(4, (2, 0, 2, 0)))
     assert is_two_periodic(FoldedProfile(4, (1, 1, 1, 1)))
@@ -150,7 +160,8 @@ def test_binomial_fold_against_pascal_oracle():
 
 
 def test_trig_residual_small_on_samples():
-    for d, N in ((2, 2), (8, 4), (13, 6), (30, 12), (64, 64)):
+    # 2^1024 is past the float range; the residual must still be computed
+    for d, N in ((2, 2), (8, 4), (13, 6), (30, 12), (64, 64), (1024, 4), (1024, 8)):
         assert roots_of_unity_residual(d, N) < 1e-9
 
 
