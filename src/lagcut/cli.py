@@ -16,8 +16,9 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .charnum import (
     CircleBundle,
@@ -58,8 +59,49 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# CPython 3.11 skips its C encoder whenever an indent is given, so the
+# indented form is rendered here in one direct pass.
+_SCALARS: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+    float: json.dumps,
+}
+
+
+def _render(doc: Any, pad: str) -> str:
+    scalar = _SCALARS.get(type(doc))
+    if scalar is not None:
+        return scalar(doc)
+    inner = pad + "  "
+    if isinstance(doc, dict):
+        parts = [
+            f"{encode_basestring_ascii(k)}: {_render(v, inner)}"
+            for k, v in sorted(doc.items())
+        ]
+        brackets = "{}"
+    elif isinstance(doc, (list, tuple)):
+        parts = [_render(v, inner) for v in doc]
+        brackets = "[]"
+    else:
+        # subclasses of the scalar types, in the order json tests them
+        for base in (str, int, float):
+            if isinstance(doc, base):
+                return _SCALARS[base](doc)
+        raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+    if not parts:
+        return brackets
+    sep = ",\n" + inner
+    return f"{brackets[0]}\n{inner}{sep.join(parts)}\n{pad}{brackets[1]}"
+
+
 def canonical_json(doc: Any) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Exactly json.dumps(doc, indent=2, sort_keys=True) plus a newline.
+
+    Dict keys must be strings, which every document here has.
+    """
+    return _render(doc, "") + "\n"
 
 
 def round_float(x: float) -> float:

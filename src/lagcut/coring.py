@@ -42,16 +42,15 @@ class CohomologyRing:
             raise InvalidRingError("betti numbers must be nonnegative")
         if self.betti[0] != 1:
             raise InvalidRingError("b_0 must be 1 (connected candidate)")
-        for k in range(self.dim + 1):
-            if self.betti[k] != self.betti[self.dim - k]:
-                raise InvalidRingError(
-                    f"Poincare duality fails: b_{k} != b_{self.dim - k}"
-                )
+        dual = self.betti[::-1]
+        if self.betti != dual:
+            k = next(k for k, b in enumerate(self.betti) if b != dual[k])
+            raise InvalidRingError(f"Poincare duality fails: b_{k} != b_{self.dim - k}")
         if any(g < 1 or g > self.dim for g in self.generator_degrees):
             raise InvalidRingError("generator degrees must lie in [1, dim]")
-        reachable = _degree_semigroup(self.generator_degrees, self.dim)
+        reach = _degree_semigroup(self.generator_degrees, self.dim)
         for k in range(1, self.dim + 1):
-            if self.betti[k] > 0 and k not in reachable:
+            if self.betti[k] > 0 and not reach >> k & 1:
                 raise InvalidRingError(
                     f"degree {k} carries cohomology but is not generated"
                 )
@@ -62,15 +61,19 @@ class CohomologyRing:
         return sum(self.betti)
 
 
-def _degree_semigroup(degrees: tuple[int, ...], limit: int) -> set[int]:
-    # Degrees reachable as sums of generator degrees, repetition allowed
-    # (powers of a generator count, e.g. the square of a degree-2 class).
-    reachable = {0}
-    for k in range(1, limit + 1):
-        if any(k - g in reachable for g in set(degrees) if k - g >= 0):
-            reachable.add(k)
-    reachable.discard(0)
-    return reachable
+def _degree_semigroup(degrees: tuple[int, ...], limit: int) -> int:
+    # Bit set of the degrees in [1, limit] reachable as sums of generator
+    # degrees (each >= 1), repetition allowed: powers of a generator count,
+    # e.g. the square of a degree-2 class.  Doubling the shift for each
+    # degree g closes the set under adding g in O(log(limit / g)) steps.
+    mask = (1 << (limit + 1)) - 1
+    reach = 1
+    for g in set(degrees):
+        shift = g
+        while shift <= limit:
+            reach |= (reach << shift) & mask
+            shift *= 2
+    return reach & ~1
 
 
 def make_sphere(d: int) -> CohomologyRing:

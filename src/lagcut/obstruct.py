@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import isqrt
 from typing import Any, Callable, Iterable, Mapping
 
 from .coring import make_complex_projective, make_product_spheres, make_torus
@@ -108,7 +109,8 @@ class ScanRow:
 
 
 def _divisors(n: int) -> list[int]:
-    return [k for k in range(1, n + 1) if n % k == 0]
+    small = [k for k in range(1, isqrt(n) + 1) if n % k == 0]
+    return small + [n // k for k in reversed(small) if k * k != n]
 
 
 def _is_prime(n: int) -> bool:

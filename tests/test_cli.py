@@ -1,13 +1,18 @@
 """End-to-end tests of the command-line surface."""
 
+import collections
+import enum
 import json
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagcut.cli import (
+    canonical_json,
     main,
     parse_candidate,
     parse_range,
@@ -21,12 +26,68 @@ from lagcut.cli import (
 
 def run_json(argv):
     code, out = run(argv + ["--format", "json"])
+    assert_roundtrip(out)
     return code, json.loads(out)
 
 
 def assert_roundtrip(out):
     # canonical form: re-rendering the parsed document is byte identical
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+# ----------------------------------------------------------------- renderer
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([0, 1, -1, True, False, -0.0, 1e300, -1e-300]),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.floats(),
+    st.text(),
+    st.text(st.characters(max_codepoint=0x1F)),
+)
+json_documents = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_documents)
+def test_canonical_json_is_indented_sorted_json(doc):
+    assert canonical_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_canonical_json_renders_subclasses_as_json_does():
+    class Level(enum.IntEnum):
+        LOW = 3
+
+    class Name(str):
+        pass
+
+    class Ratio(float):
+        pass
+
+    class Rows(list):
+        pass
+
+    doc = collections.OrderedDict(z=Rows([Level.LOW, Name("x"), Ratio(0.5)]), a=Rows())
+    assert canonical_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [{1, 2}, Fraction(1, 2), object(), b"bytes"])
+def test_canonical_json_rejects_unsupported_types(value):
+    for doc in (value, [value], {"key": value}):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            canonical_json(doc)
 
 
 # ------------------------------------------------------------------ classes
@@ -345,6 +406,26 @@ def test_batch_keeps_reports_beside_a_large_identity(tmp_path):
     assert [entry["exit"] for entry in report] == [0, 0]
     assert report[0]["report"]["residual"] <= 1e-9
     assert report[1]["report"]["constraints"] == {"m": [1]}
+
+
+def test_batch_report_of_every_subcommand_is_canonical(tmp_path):
+    entries = [
+        {"command": "classes", "args": ["--euler", "2", "--level", "-1/3"]},
+        {"command": "identity", "args": ["--d", "9", "--modulus", "6"]},
+        {"command": "fold", "args": ["--candidate", "prodsph:l=2,m=3", "--modulus", "4"]},
+        {"command": "check", "args": ["sphere", "--d", "5", "--euler", "4", "--grading", "8"]},
+        {"command": "check", "args": ["torus", "--d", "6", "--euler", "12"]},
+        {"command": "check", "args": ["exact", "--d", "7", "--euler", "6", "--surjectivity"]},
+        {
+            "command": "scan",
+            "args": ["--family", "prodsph", "--l", "1..3", "--m", "2", "--euler", "4"],
+        },
+        {"command": "fold", "args": ["--candidate", "custom:betti=[1,2]", "--modulus", "2"]},
+    ]
+    code, out = run(["--batch", write_batch(tmp_path, entries)])
+    assert code == 2
+    assert_roundtrip(out)
+    assert [entry["exit"] for entry in json.loads(out)] == [0, 0, 0, 0, 0, 0, 2, 1]
 
 
 def test_batch_empty_is_empty_report(tmp_path):

@@ -1,5 +1,6 @@
 """Tests for graded cohomology ring construction and validation."""
 
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from lagcut.coring import (
     CohomologyRing,
     InvalidRingError,
+    _degree_semigroup,
     make_complex_projective,
     make_custom,
     make_product_spheres,
@@ -116,6 +118,52 @@ def test_custom_accepts_generated_ring():
 def test_betti_length_must_match_dim():
     with pytest.raises(InvalidRingError):
         CohomologyRing("bad", 2, (1, 1), (1,))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: CohomologyRing("bad", -1, (), ()), "invalid-dimension: dim must be >= 0"),
+        (
+            lambda: CohomologyRing("bad", 2, (1, 1), (1,)),
+            "betti vector must have 3 entries, got 2",
+        ),
+        (lambda: make_custom([1, -1, 1], [1]), "betti numbers must be nonnegative"),
+        (lambda: make_custom([2, 0, 2], [2]), "b_0 must be 1 (connected candidate)"),
+        (lambda: make_custom([1, 2, 3, 2, 2, 1], [1]), "Poincare duality fails: b_2 != b_3"),
+        (lambda: make_custom([1, 1], [2]), "generator degrees must lie in [1, dim]"),
+        (
+            lambda: make_custom([1, 0, 1, 1, 1, 0, 1], [2]),
+            "degree 3 carries cohomology but is not generated",
+        ),
+        # several invariants fail at once: the first in check order is reported
+        (lambda: make_custom([2, -1, 3], [5]), "betti numbers must be nonnegative"),
+        (lambda: make_custom([2, 1, 3], [5]), "b_0 must be 1 (connected candidate)"),
+        (lambda: make_custom([1, 1, 3], [5]), "Poincare duality fails: b_0 != b_2"),
+    ],
+)
+def test_invalid_ring_messages(make, message):
+    with pytest.raises(InvalidRingError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def brute_semigroup(degrees, limit):
+    reachable = {0}
+    frontier = {0}
+    while frontier:
+        frontier = {s + g for s in frontier for g in degrees if s + g <= limit} - reachable
+        reachable |= frontier
+    return reachable - {0}
+
+
+def test_degree_semigroup_matches_set_closure():
+    for size in range(4):
+        for degrees in itertools.combinations_with_replacement(range(1, 9), size):
+            reachable = brute_semigroup(degrees, 60)
+            for limit in range(61):
+                expected = sum(1 << k for k in reachable if k <= limit)
+                assert _degree_semigroup(degrees, limit) == expected, (degrees, limit)
 
 
 def test_poincare_duality_all_constructors():

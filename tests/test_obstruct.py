@@ -1,7 +1,10 @@
 """Tests for the verdict pipelines and the parameter-grid scanner."""
 
+import functools
+
 import pytest
 
+from lagcut import obstruct
 from lagcut.coring import make_sphere, make_torus
 from lagcut.fold import fold_mod
 from lagcut.obstruct import (
@@ -9,6 +12,7 @@ from lagcut.obstruct import (
     INCONCLUSIVE,
     OBSTRUCTED,
     HypothesisViolation,
+    _divisors,
     check_exact_in_cotangent,
     check_lens,
     check_product_spheres,
@@ -267,6 +271,39 @@ def test_lens_validation():
         check_lens(1, 2)
     with pytest.raises(ValueError):
         check_lens(5, 0)
+
+
+# ----------------------------------------------------------------- divisors
+
+
+@functools.cache
+def divisors_by_scan(n):
+    # the O(n) enumeration that _divisors replaced, kept as the reference
+    return [k for k in range(1, n + 1) if n % k == 0]
+
+
+def test_divisors_match_a_sieve():
+    limit = 5000
+    sieve = [[] for _ in range(limit + 1)]
+    for k in range(1, limit + 1):
+        for multiple in range(k, limit + 1, k):
+            sieve[multiple].append(k)
+    for n in range(1, limit + 1):
+        assert _divisors(n) == sieve[n], n
+
+
+@pytest.mark.parametrize("n", [10**6, 10**7 + 19])
+def test_divisors_of_a_square_and_a_large_prime(n):
+    assert _divisors(n) == divisors_by_scan(n)
+
+
+@pytest.mark.parametrize(
+    "check, args", [(check_lens, (10**7 + 19, 3)), (exact_verdict, (2000, 720720))]
+)
+def test_large_verdicts_match_the_linear_divisor_scan(monkeypatch, check, args):
+    verdict = check(*args).to_json_dict()
+    monkeypatch.setattr(obstruct, "_divisors", divisors_by_scan)
+    assert check(*args).to_json_dict() == verdict
 
 
 # --------------------------------------------------------------------- scan
