@@ -48,6 +48,12 @@ from .obstruct import FAMILIES, HypothesisViolation, scan
 # every family parameter, first-seen order, so argparse messages keep it
 _SCAN_PARAMS = tuple(dict.fromkeys(p for params, _ in FAMILIES.values() for p in params))
 
+# Upper bound on a length the user sets: the --modulus of fold and identity
+# (one entry or binomial sum per residue) and the number of points in a scan
+# grid (one verdict per point).  It sits above every documented input, the
+# largest being a 9,950-row lens scan, and is checked before allocating.
+MAX_LENGTH = 1 << 14
+
 
 class UsageError(Exception):
     pass
@@ -141,22 +147,27 @@ def _fraction_of(doc: dict[str, int]) -> Fraction:
     return Fraction(doc["num"], doc["den"])
 
 
-def parse_range(text: str) -> list[int]:
-    """Parse 'lo..hi' (inclusive) or a bare integer into a list."""
-    s = text.strip()
-    if ".." in s:
-        lo_s, _, hi_s = s.partition("..")
-        try:
-            lo, hi = int(lo_s), int(hi_s)
-        except ValueError as exc:
-            raise ValueError(f"bad range {text!r}") from exc
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
+def _range_bounds(text: str) -> tuple[int, int]:
+    lo_s, sep, hi_s = text.strip().partition("..")
     try:
-        return [int(s)]
+        lo = int(lo_s)
+        hi = int(hi_s) if sep else lo
     except ValueError as exc:
         raise ValueError(f"bad range {text!r}") from exc
+    if hi < lo:
+        raise ValueError(f"empty range {text!r}")
+    return lo, hi
+
+
+def parse_range(text: str) -> list[int]:
+    """Parse 'lo..hi' (inclusive) or a bare integer into a list."""
+    lo, hi = _range_bounds(text)
+    return list(range(lo, hi + 1))
+
+
+def _check_length(what: str, n: int) -> None:
+    if n > MAX_LENGTH:
+        raise ValueError(f"{what} is {n}, above the limit of {MAX_LENGTH}")
 
 
 def _split_top(text: str) -> list[str]:
@@ -331,6 +342,7 @@ def _cmd_classes(ns: argparse.Namespace) -> tuple[int, dict[str, Any]]:
 def _cmd_identity(ns: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     if ns.d < 1:
         raise ValueError("--d must be >= 1")
+    _check_length("--modulus", ns.modulus)
     report = torus_identity_check(ns.d, ns.modulus)
     table = [binomial_fold_sum(ns.d, ns.modulus, j) for j in range(ns.modulus)]
     residual = roots_of_unity_residual(ns.d, ns.modulus)
@@ -347,6 +359,7 @@ def _cmd_identity(ns: argparse.Namespace) -> tuple[int, dict[str, Any]]:
 
 
 def _cmd_fold(ns: argparse.Namespace) -> tuple[int, dict[str, Any]]:
+    _check_length("--modulus", ns.modulus)
     ring = parse_candidate(ns.candidate)
     profile = fold_mod(ring, ns.modulus)
     doc = {
@@ -367,11 +380,13 @@ def _cmd_check(ns: argparse.Namespace) -> tuple[int, dict[str, Any]]:
 
 
 def _cmd_scan(ns: argparse.Namespace) -> tuple[int, dict[str, Any]]:
-    ranges = {}
-    for name in _SCAN_PARAMS:
-        raw = getattr(ns, name)
-        if raw is not None:
-            ranges[name] = parse_range(raw)
+    raws = {n: getattr(ns, n) for n in _SCAN_PARAMS if getattr(ns, n) is not None}
+    points = 1
+    for raw in raws.values():
+        lo, hi = _range_bounds(raw)
+        points *= hi - lo + 1
+    _check_length("scan grid size", points)
+    ranges = {name: parse_range(raw) for name, raw in raws.items()}
     rows = scan(ns.family, ranges, use_surjectivity=ns.surjectivity)
     code = 0
     row_docs = []

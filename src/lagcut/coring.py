@@ -1,4 +1,4 @@
-"""Z/2 cohomology of candidate submanifolds as graded dimension vectors.
+"""Z/2 cohomology of candidate submanifolds as graded dimensions.
 
 A candidate is modelled by its Betti numbers over Z/2 together with the
 degrees of a chosen generating set of the cup-product ring.  That is all
@@ -8,57 +8,139 @@ reason about degrees of generators, never about specific products.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd
+from typing import Iterable
 
 
 class InvalidRingError(ValueError):
     """Raised when a candidate ring violates a structural invariant."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CohomologyRing:
     """Graded dimension data of H^*(L; Z/2) for a closed connected L.
 
-    betti[k] is dim H^k, indexed 0..dim.  generator_degrees is a multiset
-    (sorted tuple) of degrees of ring generators; multiplicity records the
-    size of the generating set, which the spectral-sequence bookkeeping
-    iterates over.
+    The stored form is the support: the pairs (k, dim H^k) with nonzero
+    dimension, by increasing degree k in 0..dim, so a sphere holds two
+    pairs whatever its dimension.  betti is the dense view b_0..b_dim,
+    built on each access.  generator_degrees is a multiset (sorted tuple)
+    of degrees of ring generators; multiplicity records the size of the
+    generating set, which the spectral-sequence bookkeeping iterates over.
+
+    The constructor takes the dense vector; from_support takes the pairs.
+    Both enforce the same invariants, in the same order, with the same
+    messages.
     """
 
     label: str
     dim: int
-    betti: tuple[int, ...]
+    support: tuple[tuple[int, int], ...]
     generator_degrees: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.dim < 0:
-            raise InvalidRingError("invalid-dimension: dim must be >= 0")
-        if len(self.betti) != self.dim + 1:
+    def __init__(
+        self,
+        label: str,
+        dim: int,
+        betti: tuple[int, ...],
+        generator_degrees: tuple[int, ...],
+    ) -> None:
+        _check_dim(dim)
+        if len(betti) != dim + 1:
             raise InvalidRingError(
-                f"betti vector must have {self.dim + 1} entries, got {len(self.betti)}"
+                f"betti vector must have {dim + 1} entries, got {len(betti)}"
             )
-        if any(b < 0 for b in self.betti):
-            raise InvalidRingError("betti numbers must be nonnegative")
-        if self.betti[0] != 1:
-            raise InvalidRingError("b_0 must be 1 (connected candidate)")
-        dual = self.betti[::-1]
-        if self.betti != dual:
-            k = next(k for k, b in enumerate(self.betti) if b != dual[k])
-            raise InvalidRingError(f"Poincare duality fails: b_{k} != b_{self.dim - k}")
-        if any(g < 1 or g > self.dim for g in self.generator_degrees):
-            raise InvalidRingError("generator degrees must lie in [1, dim]")
-        reach = _degree_semigroup(self.generator_degrees, self.dim)
-        for k in range(1, self.dim + 1):
-            if self.betti[k] > 0 and not reach >> k & 1:
-                raise InvalidRingError(
-                    f"degree {k} carries cohomology but is not generated"
-                )
+        degrees = [k for k, b in enumerate(betti) if b]
+        dims = [betti[k] for k in degrees]
+        _check_support(dim, degrees, dims, generator_degrees)
+        self._set(label, dim, tuple(zip(degrees, dims)), generator_degrees)
+
+    @classmethod
+    def from_support(
+        cls,
+        label: str,
+        dim: int,
+        support: Iterable[tuple[int, int]],
+        generator_degrees: tuple[int, ...],
+    ) -> CohomologyRing:
+        """Build a ring from its (degree, dimension) pairs of nonzero dimension."""
+        _check_dim(dim)
+        support = tuple(support)
+        degrees = [k for k, _ in support]
+        dims = [b for _, b in support]
+        if (
+            0 in dims
+            or degrees != sorted(set(degrees))
+            or degrees and (degrees[0] < 0 or degrees[-1] > dim)
+        ):
+            raise InvalidRingError(
+                "support must list nonzero dimensions at increasing degrees in [0, dim]"
+            )
+        _check_support(dim, degrees, dims, generator_degrees)
+        ring = cls.__new__(cls)
+        ring._set(label, dim, support, generator_degrees)
+        return ring
+
+    def _set(
+        self,
+        label: str,
+        dim: int,
+        support: tuple[tuple[int, int], ...],
+        generator_degrees: tuple[int, ...],
+    ) -> None:
+        # the fields of a frozen instance, written once by the constructors
+        self.__dict__.update(
+            label=label, dim=dim, support=support, generator_degrees=generator_degrees
+        )
+
+    @property
+    def betti(self) -> tuple[int, ...]:
+        """Dense Betti vector: betti[k] is dim H^k, indexed 0..dim."""
+        dense = [0] * (self.dim + 1)
+        for k, b in self.support:
+            dense[k] = b
+        return tuple(dense)
+
+    def betti_number(self, k: int) -> int:
+        """dim H^k, zero for every degree outside the support."""
+        i = bisect_left(self.support, (k,))
+        if i < len(self.support) and self.support[i][0] == k:
+            return self.support[i][1]
+        return 0
 
     @property
     def total_dim(self) -> int:
         """Total Z/2 dimension of the cohomology."""
-        return sum(self.betti)
+        return sum(b for _, b in self.support)
+
+
+def _check_dim(dim: int) -> None:
+    if dim < 0:
+        raise InvalidRingError("invalid-dimension: dim must be >= 0")
+
+
+def _check_support(
+    dim: int, degrees: list[int], dims: list[int], generator_degrees: tuple[int, ...]
+) -> None:
+    # the ring invariants in check order, on the degrees and dimensions of
+    # the support
+    if dims and min(dims) < 0:
+        raise InvalidRingError("betti numbers must be nonnegative")
+    if degrees[:1] != [0] or dims[0] != 1:
+        raise InvalidRingError("b_0 must be 1 (connected candidate)")
+    if dims != dims[::-1] or degrees != [dim - k for k in reversed(degrees)]:
+        # the failing degrees pair up as k, dim - k: report the lower
+        at = dict(zip(degrees, dims))
+        k = min(min(j, dim - j) for j, b in at.items() if at.get(dim - j, 0) != b)
+        raise InvalidRingError(f"Poincare duality fails: b_{k} != b_{dim - k}")
+    if generator_degrees and (min(generator_degrees) < 1 or max(generator_degrees) > dim):
+        raise InvalidRingError("generator degrees must lie in [1, dim]")
+    ungenerated = _ungenerated(degrees[1:], generator_degrees)
+    if ungenerated:
+        raise InvalidRingError(
+            f"degree {ungenerated[0]} carries cohomology but is not generated"
+        )
 
 
 def _degree_semigroup(degrees: tuple[int, ...], limit: int) -> int:
@@ -76,22 +158,42 @@ def _degree_semigroup(degrees: tuple[int, ...], limit: int) -> int:
     return reach & ~1
 
 
+def _ungenerated(degrees: list[int], generator_degrees: tuple[int, ...]) -> list[int]:
+    # The degrees (each >= 1) that are not sums of generator degrees.  Every
+    # sum is a multiple of g = gcd(generator_degrees), and k is one exactly
+    # when k / g is a sum of the generator degrees divided by g.  One reduced
+    # degree is 1 and reaches every k / g (a sphere, a torus, CP^n); two have
+    # a closed form (a product of spheres), whatever the dimension; more are
+    # looked up in a bit set of max(degrees) / g bits.
+    g = gcd(*generator_degrees)
+    if not degrees or not g:
+        return degrees
+    reduced = sorted({x // g for x in set(generator_degrees)})
+    if len(reduced) == 1:
+        return [k for k in degrees if k % g]
+    if len(reduced) == 2:
+        # a and b are coprime, and k = x a + y b has a solution with x, y >= 0
+        # exactly when the least x >= 0 with x a = k mod b, k / a mod b, has x a <= k
+        a, b = reduced
+        inverse = pow(a, -1, b)
+        return [k for k in degrees if k % g or (k // g * inverse % b) * a > k // g]
+    reach = _degree_semigroup(tuple(reduced), degrees[-1] // g)
+    return [k for k in degrees if k % g or not reach >> (k // g) & 1]
+
+
 def make_sphere(d: int) -> CohomologyRing:
     """Cohomology of the d-sphere: one class each in degrees 0 and d."""
     if d < 1:
         raise InvalidRingError("invalid-dimension: sphere needs d >= 1")
-    betti = [0] * (d + 1)
-    betti[0] = 1
-    betti[d] += 1
-    return CohomologyRing(f"sphere:d={d}", d, tuple(betti), (d,))
+    return CohomologyRing.from_support(f"sphere:d={d}", d, ((0, 1), (d, 1)), (d,))
 
 
 def make_torus(d: int) -> CohomologyRing:
     """Cohomology of the d-torus: b_k = C(d, k), generated in degree 1."""
     if d < 1:
         raise InvalidRingError("invalid-dimension: torus needs d >= 1")
-    betti = tuple(comb(d, k) for k in range(d + 1))
-    return CohomologyRing(f"torus:d={d}", d, betti, (1,) * d)
+    support = enumerate(comb(d, k) for k in range(d + 1))
+    return CohomologyRing.from_support(f"torus:d={d}", d, support, (1,) * d)
 
 
 def make_product_spheres(l: int, m: int) -> CohomologyRing:
@@ -99,18 +201,16 @@ def make_product_spheres(l: int, m: int) -> CohomologyRing:
     if l < 1 or m < l:
         raise InvalidRingError("invalid-dimension: need 1 <= l <= m")
     d = l + m
-    betti = [0] * (d + 1)
-    for k in (0, l, m, d):
-        betti[k] += 1
-    return CohomologyRing(f"prodsph:l={l},m={m}", d, tuple(betti), (l, m))
+    support = ((0, 1), (l, 2), (d, 1)) if l == m else ((0, 1), (l, 1), (m, 1), (d, 1))
+    return CohomologyRing.from_support(f"prodsph:l={l},m={m}", d, support, (l, m))
 
 
 def make_complex_projective(n: int) -> CohomologyRing:
     """Cohomology of CP^n: one class in each even degree up to 2n."""
     if n < 1:
         raise InvalidRingError("invalid-dimension: need n >= 1")
-    betti = tuple(1 if k % 2 == 0 else 0 for k in range(2 * n + 1))
-    return CohomologyRing(f"cp:n={n}", 2 * n, betti, (2,))
+    support = ((k, 1) for k in range(0, 2 * n + 1, 2))
+    return CohomologyRing.from_support(f"cp:n={n}", 2 * n, support, (2,))
 
 
 def make_custom(
@@ -130,12 +230,12 @@ def make_custom(
 
 def tensor(a: CohomologyRing, b: CohomologyRing) -> CohomologyRing:
     """Graded tensor product: Betti vectors convolve, generators unite."""
-    d = a.dim + b.dim
-    betti = [0] * (d + 1)
-    for i, bi in enumerate(a.betti):
-        if bi == 0:
-            continue
-        for j, bj in enumerate(b.betti):
-            betti[i + j] += bi * bj
+    dims: dict[int, int] = {}
+    for i, bi in a.support:
+        for j, bj in b.support:
+            dims[i + j] = dims.get(i + j, 0) + bi * bj
+    support = sorted(dims.items())
     gens = tuple(sorted(a.generator_degrees + b.generator_degrees))
-    return CohomologyRing(f"{a.label}*{b.label}", d, tuple(betti), gens)
+    return CohomologyRing.from_support(
+        f"{a.label}*{b.label}", a.dim + b.dim, support, gens
+    )

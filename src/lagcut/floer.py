@@ -12,7 +12,7 @@ from typing import Iterable
 
 from .charnum import CutContext
 from .coring import CohomologyRing, make_sphere
-from .fold import FoldedProfile, fold_dims, is_two_periodic
+from .fold import FoldedProfile, _fold_pairs, is_two_periodic
 
 EQUALS_COHOMOLOGY = "EqualsCohomology"
 COHOMOLOGY_MINUS_ENDS = "CohomologyMinusEnds"
@@ -32,23 +32,29 @@ class HFProfile:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown profile kind {self.kind!r}")
 
+    def _pairs(self) -> tuple[tuple[int, int], ...]:
+        # (degree, dimension) pairs summing to the profile degree by degree;
+        # the ends subtract from the support, so a degree may repeat
+        ring = self.source
+        if self.kind == EQUALS_COHOMOLOGY:
+            return ring.support
+        if self.kind == COHOMOLOGY_MINUS_ENDS:
+            return ((0, -1), (ring.dim, -1)) + ring.support
+        return ()
+
     def graded_dims(self) -> tuple[int, ...]:
         """Per-degree dimensions of the profile, indexed 0..dim."""
-        if self.kind == EQUALS_COHOMOLOGY:
-            return self.source.betti
-        if self.kind == COHOMOLOGY_MINUS_ENDS:
-            dims = list(self.source.betti)
-            dims[0] -= 1
-            dims[self.source.dim] -= 1
-            return tuple(dims)
-        return (0,) * (self.source.dim + 1)
+        dims = [0] * (self.source.dim + 1)
+        for k, b in self._pairs():
+            dims[k] += b
+        return tuple(dims)
 
     def fold(self, N: int) -> FoldedProfile:
-        return fold_dims(self.graded_dims(), N)
+        return _fold_pairs(self._pairs(), N)
 
     @property
     def total_dim(self) -> int:
-        return sum(self.graded_dims())
+        return sum(b for _, b in self._pairs())
 
 
 @dataclass(frozen=True)
@@ -113,8 +119,7 @@ def ss_collapse_certificate(ring: CohomologyRing, N_L: int) -> CollapseCertifica
     for r in range(1, nu + 1):
         for g in sorted(set(ring.generator_degrees)):
             target = g + 1 - r * N_L
-            b = ring.betti[target] if 0 <= target <= ring.dim else 0
-            checks.append(PageCheck(r, g, target, b))
+            checks.append(PageCheck(r, g, target, ring.betti_number(target)))
     cert = CollapseCertificate(N_L=N_L, nu=nu, per_page=tuple(checks))
     return cert if cert.valid else None
 

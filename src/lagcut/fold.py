@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .coring import CohomologyRing, make_complex_projective
 
@@ -30,7 +30,7 @@ class FoldedProfile:
             raise InvalidModulusError("invalid-modulus: N must be >= 1")
         if len(self.dims) != self.modulus:
             raise InvalidModulusError("profile must have exactly N entries")
-        if any(s < 0 for s in self.dims):
+        if min(self.dims) < 0:
             raise InvalidModulusError("folded dimensions must be nonnegative")
 
     @property
@@ -47,19 +47,24 @@ class TorusIdentityReport:
     pow: int
 
 
-def fold_dims(dims: Sequence[int], N: int) -> FoldedProfile:
-    """Fold a raw graded dimension vector: S_j = sum of dims[k] over k = j mod N."""
+def _fold_pairs(pairs: Iterable[tuple[int, int]], N: int) -> FoldedProfile:
+    # S_j = sum of the dimensions b over the pairs (k, b) with k = j mod N
     if N < 1:
         raise InvalidModulusError("invalid-modulus: N must be >= 1")
     out = [0] * N
-    for k, b in enumerate(dims):
+    for k, b in pairs:
         out[k % N] += b
     return FoldedProfile(N, tuple(out))
 
 
+def fold_dims(dims: Sequence[int], N: int) -> FoldedProfile:
+    """Fold a raw graded dimension vector: S_j = sum of dims[k] over k = j mod N."""
+    return _fold_pairs(enumerate(dims), N)
+
+
 def fold_mod(ring: CohomologyRing, N: int) -> FoldedProfile:
-    """Fold the Betti vector of a ring into the Z/N grading."""
-    return fold_dims(ring.betti, N)
+    """Fold the Betti numbers of a ring into the Z/N grading."""
+    return _fold_pairs(ring.support, N)
 
 
 def is_two_periodic(p: FoldedProfile) -> bool:

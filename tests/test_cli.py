@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagcut.cli import (
+    MAX_LENGTH,
     canonical_json,
     main,
     parse_candidate,
@@ -362,6 +363,35 @@ def test_scan_json_roundtrip():
         ["scan", "--family", "exact", "--d", "6..8", "--euler", "4", "--format", "json"]
     )
     assert_roundtrip(out)
+
+
+# ------------------------------------------------------------ length limits
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fold", "--candidate", "sphere:d=3", "--modulus", str(MAX_LENGTH + 1)],
+        ["identity", "--d", "3", "--modulus", str(MAX_LENGTH + 2)],
+        ["scan", "--family", "lens", "--p", f"2..{MAX_LENGTH + 2}", "--n", "1"],
+        ["scan", "--family", "lens", "--p", "2..201", "--n", "1..100"],
+        ["scan", "--family", "lens", "--p", f"2..{10**15}", "--n", "1"],
+    ],
+)
+def test_lengths_above_the_limit_are_usage_errors(argv):
+    code, doc = run_json(argv)
+    assert code == 1
+    assert doc["error"]["cite"] == "usage-error"
+    assert doc["error"]["message"].endswith(f"above the limit of {MAX_LENGTH}")
+
+
+def test_lengths_at_the_limit_run():
+    code, doc = run_json(["fold", "--candidate", "sphere:d=3", "--modulus", str(MAX_LENGTH)])
+    assert code == 0
+    assert len(doc["S"]) == MAX_LENGTH
+    code, doc = run_json(["identity", "--d", "3", "--modulus", str(MAX_LENGTH)])
+    assert code == 0
+    assert doc["S"][:5] == [1, 3, 3, 1, 0]
 
 
 # -------------------------------------------------------------------- batch

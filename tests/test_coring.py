@@ -4,11 +4,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagcut.coring import (
     CohomologyRing,
     InvalidRingError,
     _degree_semigroup,
+    _ungenerated,
     make_complex_projective,
     make_custom,
     make_product_spheres,
@@ -16,6 +19,8 @@ from lagcut.coring import (
     make_torus,
     tensor,
 )
+from lagcut.floer import CollapseCertificate, PageCheck, ss_collapse_certificate
+from lagcut.fold import fold_mod
 from oracles import brute_convolve, pascal_row
 
 
@@ -164,6 +169,123 @@ def test_degree_semigroup_matches_set_closure():
             for limit in range(61):
                 expected = sum(1 << k for k in reachable if k <= limit)
                 assert _degree_semigroup(degrees, limit) == expected, (degrees, limit)
+
+
+def dense_ring_error(betti, gens):
+    # the invariants checked entry by entry on the dense vector, in order
+    dim = len(betti) - 1
+    if any(b < 0 for b in betti):
+        return "betti numbers must be nonnegative"
+    if betti[0] != 1:
+        return "b_0 must be 1 (connected candidate)"
+    for k in range(dim + 1):
+        if betti[k] != betti[dim - k]:
+            return f"Poincare duality fails: b_{k} != b_{dim - k}"
+    if any(g < 1 or g > dim for g in gens):
+        return "generator degrees must lie in [1, dim]"
+    reachable = brute_semigroup(gens, dim)
+    for k in range(1, dim + 1):
+        if betti[k] > 0 and k not in reachable:
+            return f"degree {k} carries cohomology but is not generated"
+    return None
+
+
+def dense_certificate(betti, gens, N_L):
+    dim = len(betti) - 1
+    nu = (dim + 1) // N_L
+    checks = []
+    for r in range(1, nu + 1):
+        for g in sorted(set(gens)):
+            target = g + 1 - r * N_L
+            checks.append(PageCheck(r, g, target, betti[target] if 0 <= target <= dim else 0))
+    if any(c.target_betti for c in checks):
+        return None
+    return CollapseCertificate(N_L=N_L, nu=nu, per_page=tuple(checks))
+
+
+@st.composite
+def dense_inputs(draw):
+    # mirrored vectors with b_0 = 1 are often valid rings; the overrides
+    # break connectedness, duality or the sign of an entry
+    dim = draw(st.integers(0, 12))
+    entry = st.sampled_from([0, 0, 1, 1, 2, 3, -1])
+    half = draw(st.lists(entry, min_size=dim + 1, max_size=dim + 1))
+    betti = [half[min(k, dim - k)] for k in range(dim + 1)]
+    betti[0] = betti[dim] = draw(st.sampled_from([1, 1, 1, 0, 2]))
+    if draw(st.integers(0, 3)) == 0:
+        betti[draw(st.integers(0, dim))] = draw(entry)
+    gens = draw(st.lists(st.one_of(st.just(1), st.integers(0, dim + 1)), max_size=3))
+    return betti, tuple(sorted(gens))
+
+
+def ring_or_error(make):
+    try:
+        return make()
+    except InvalidRingError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(dense_inputs())
+def test_support_form_agrees_with_the_dense_vector(inputs):
+    betti, gens = inputs
+    dim = len(betti) - 1
+    support = tuple((k, b) for k, b in enumerate(betti) if b)
+    dense = ring_or_error(lambda: CohomologyRing("r", dim, tuple(betti), gens))
+    sparse = ring_or_error(lambda: CohomologyRing.from_support("r", dim, support, gens))
+    expected_error = dense_ring_error(betti, gens)
+    if expected_error is not None:
+        assert dense == sparse == expected_error
+        return
+    assert dense == sparse
+    assert hash(dense) == hash(sparse)
+    for ring in (dense, sparse):
+        assert ring.support == support
+        assert ring.betti == tuple(betti)
+        assert ring.total_dim == sum(betti)
+        assert [ring.betti_number(k) for k in range(-2, dim + 3)] == [0, 0, *betti, 0, 0]
+        for N in range(1, 3 * dim + 1):
+            folded = [0] * N
+            for k, b in enumerate(betti):
+                folded[k % N] += b
+            assert fold_mod(ring, N).dims == tuple(folded)
+        for N_L in range(2, dim + 4):
+            assert ss_collapse_certificate(ring, N_L) == dense_certificate(betti, gens, N_L)
+
+
+@pytest.mark.parametrize(
+    "dim, support",
+    [
+        (3, ((0, 1), (3, 0))),
+        (3, ((3, 1), (0, 1))),
+        (3, ((0, 1), (0, 1), (3, 1))),
+        (3, ((-1, 1), (0, 1), (3, 1))),
+        (3, ((0, 1), (4, 1))),
+    ],
+)
+def test_from_support_rejects_malformed_pairs(dim, support):
+    with pytest.raises(InvalidRingError) as info:
+        CohomologyRing.from_support("bad", dim, support, (3,))
+    assert str(info.value) == (
+        "support must list nonzero dimensions at increasing degrees in [0, dim]"
+    )
+
+
+def test_sphere_and_product_supports_do_not_grow_with_the_dimension():
+    d = 10**9 + 7
+    assert make_sphere(d).support == ((0, 1), (d, 1))
+    assert make_product_spheres(d, d).support == ((0, 1), (d, 2), (2 * d, 1))
+    assert make_product_spheres(3, d).support == ((0, 1), (3, 1), (d, 1), (d + 3, 1))
+    assert make_sphere(d).betti_number(d) == 1
+    assert make_sphere(d).total_dim == 2
+
+
+def test_ungenerated_degrees_match_set_closure():
+    for size in range(5):
+        for degrees in itertools.combinations_with_replacement(range(1, 9), size):
+            for top in (1, 7, 60):
+                expected = set(range(1, top + 1)) - brute_semigroup(degrees, top)
+                assert set(_ungenerated(list(range(1, top + 1)), degrees)) == expected
 
 
 def test_poincare_duality_all_constructors():

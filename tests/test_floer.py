@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 
 from lagcut.charnum import CircleBundle, build_cut
-from lagcut.coring import make_product_spheres, make_sphere, make_torus
+from lagcut.coring import (
+    make_complex_projective,
+    make_custom,
+    make_product_spheres,
+    make_sphere,
+    make_torus,
+)
+from lagcut.fold import InvalidModulusError, fold_dims
 from lagcut.floer import (
     COHOMOLOGY_MINUS_ENDS,
     EQUALS_COHOMOLOGY,
@@ -37,6 +44,30 @@ def test_profile_minus_ends_keeps_middle():
 def test_profile_fold():
     profile = HFProfile(EQUALS_COHOMOLOGY, make_sphere(6))
     assert profile.fold(4).dims == (1, 0, 1, 0)
+
+
+def fold_outcome(fold, N):
+    try:
+        return fold(N)
+    except InvalidModulusError as exc:
+        return str(exc)
+
+
+def test_profile_fold_matches_dense_fold():
+    rings = (
+        [make_custom([1], []), make_sphere(1), make_sphere(4), make_sphere(9)]
+        + [make_torus(d) for d in (1, 3, 6)]
+        + [make_product_spheres(l, m) for l, m in ((1, 1), (2, 2), (2, 5))]
+        + [make_complex_projective(3)]
+    )
+    for ring in rings:
+        for kind in (EQUALS_COHOMOLOGY, COHOMOLOGY_MINUS_ENDS, TRIVIAL):
+            profile = HFProfile(kind, ring)
+            dense = profile.graded_dims()
+            assert profile.total_dim == sum(dense)
+            for N in range(-1, 3 * ring.dim + 3):
+                expected = fold_outcome(lambda n: fold_dims(dense, n), N)
+                assert fold_outcome(profile.fold, N) == expected, (ring.label, kind, N)
 
 
 def test_profile_rejects_unknown_kind():

@@ -1,10 +1,13 @@
 """Tests for the verdict pipelines and the parameter-grid scanner."""
 
 import functools
+import json
+import time
 
 import pytest
 
 from lagcut import obstruct
+from lagcut.cli import run
 from lagcut.coring import make_sphere, make_torus
 from lagcut.fold import fold_mod
 from lagcut.obstruct import (
@@ -118,6 +121,20 @@ def test_sphere_hypothesis_gate_and_validation():
         check_sphere(1, 1, 2)
     with pytest.raises(ValueError):
         check_sphere(4, 1, 1)
+
+
+def test_sphere_cost_does_not_grow_with_the_dimension():
+    # a sphere ring holds two (degree, dimension) pairs whatever d is
+    d = 10**7 + 1
+    start = time.perf_counter()
+    verdict = check_sphere(d, 4, 8)
+    code, out = run(["fold", "--candidate", f"sphere:d={d}", "--modulus", "8", "--format", "json"])
+    elapsed = time.perf_counter() - start
+    assert verdict.status == OBSTRUCTED
+    assert "S = (1, 1, 0, 0, 0, 0, 0, 0)" in verdict.trace[-1].detail
+    assert code == 0
+    assert json.loads(out)["S"] == [1, 1, 0, 0, 0, 0, 0, 0]
+    assert elapsed < 0.1
 
 
 # --------------------------------------------------------------- torus check
