@@ -381,12 +381,16 @@ def _cmd_check(ns: argparse.Namespace) -> tuple[int, dict[str, Any]]:
 
 def _cmd_scan(ns: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     raws = {n: getattr(ns, n) for n in _SCAN_PARAMS if getattr(ns, n) is not None}
+    bounds = {name: _range_bounds(raw) for name, raw in raws.items()}
+    # the grid spans the family's own parameters; scan rejects any other one
+    # before it reads a range, so the ranges go in unexpanded
     points = 1
-    for raw in raws.values():
-        lo, hi = _range_bounds(raw)
-        points *= hi - lo + 1
+    for name in FAMILIES[ns.family][0]:
+        if name in bounds:
+            lo, hi = bounds[name]
+            points *= hi - lo + 1
     _check_length("scan grid size", points)
-    ranges = {name: parse_range(raw) for name, raw in raws.items()}
+    ranges = {name: range(lo, hi + 1) for name, (lo, hi) in bounds.items()}
     rows = scan(ns.family, ranges, use_surjectivity=ns.surjectivity)
     code = 0
     row_docs = []

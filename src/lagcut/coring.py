@@ -161,23 +161,12 @@ def _degree_semigroup(degrees: tuple[int, ...], limit: int) -> int:
 def _ungenerated(degrees: list[int], generator_degrees: tuple[int, ...]) -> list[int]:
     # The degrees (each >= 1) that are not sums of generator degrees.  Every
     # sum is a multiple of g = gcd(generator_degrees), and k is one exactly
-    # when k / g is a sum of the generator degrees divided by g.  One reduced
-    # degree is 1 and reaches every k / g (a sphere, a torus, CP^n); two have
-    # a closed form (a product of spheres), whatever the dimension; more are
-    # looked up in a bit set of max(degrees) / g bits.
+    # when k / g is a sum of the generator degrees divided by g, so the bit
+    # set needs max(degrees) / g bits: one for a sphere, whatever d is.
     g = gcd(*generator_degrees)
     if not degrees or not g:
         return degrees
-    reduced = sorted({x // g for x in set(generator_degrees)})
-    if len(reduced) == 1:
-        return [k for k in degrees if k % g]
-    if len(reduced) == 2:
-        # a and b are coprime, and k = x a + y b has a solution with x, y >= 0
-        # exactly when the least x >= 0 with x a = k mod b, k / a mod b, has x a <= k
-        a, b = reduced
-        inverse = pow(a, -1, b)
-        return [k for k in degrees if k % g or (k // g * inverse % b) * a > k // g]
-    reach = _degree_semigroup(tuple(reduced), degrees[-1] // g)
+    reach = _degree_semigroup(tuple(x // g for x in generator_degrees), degrees[-1] // g)
     return [k for k in degrees if k % g or not reach >> (k // g) & 1]
 
 

@@ -385,6 +385,16 @@ def test_lengths_above_the_limit_are_usage_errors(argv):
     assert doc["error"]["message"].endswith(f"above the limit of {MAX_LENGTH}")
 
 
+@pytest.mark.parametrize("l_range", ["1..100000", f"1..{10**15}"])
+def test_scan_rejects_a_parameter_the_family_does_not_take_before_sizing(l_range):
+    # the lens grid has 9 points; the range of --l is not part of it
+    argv = ["scan", "--family", "lens", "--p", "2..10", "--n", "1", "--l", l_range]
+    code, doc = run_json(argv)
+    assert code == 1
+    assert doc["error"]["cite"] == "usage-error"
+    assert doc["error"]["message"] == "family 'lens' does not take ['l']"
+
+
 def test_lengths_at_the_limit_run():
     code, doc = run_json(["fold", "--candidate", "sphere:d=3", "--modulus", str(MAX_LENGTH)])
     assert code == 0
