@@ -10,7 +10,7 @@ resummation against its closed trigonometric form.
 
 from lagcut.coring import make_product_spheres, make_sphere, make_torus
 from lagcut.fold import (
-    binomial_fold_sum,
+    binomial_fold_sums,
     fold_mod,
     is_two_periodic,
     roots_of_unity_residual,
@@ -49,5 +49,5 @@ print("S^2 x S^4 mod 8:", fold_mod(prod, 8).dims)
 # the trigonometric evaluation; it should sit at machine precision.
 for d, N in ((8, 4), (20, 6), (33, 9)):
     residual = roots_of_unity_residual(d, N)
-    S0 = binomial_fold_sum(d, N, 0)
+    S0 = binomial_fold_sums(d, N)[0]
     print("d=%d N=%d: S_0 = %d, trig residual = %.3g" % (d, N, S0, residual))

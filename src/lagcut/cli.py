@@ -36,13 +36,7 @@ from .coring import (
     make_sphere,
     make_torus,
 )
-from .fold import (
-    binomial_fold_sum,
-    fold_mod,
-    is_two_periodic,
-    roots_of_unity_residual,
-    torus_identity_check,
-)
+from .fold import fold_mod, is_two_periodic, roots_of_unity_residual, torus_identity_check
 from .obstruct import FAMILIES, HypothesisViolation, scan
 
 # every family parameter, first-seen order, so argparse messages keep it
@@ -344,12 +338,11 @@ def _cmd_identity(ns: argparse.Namespace) -> tuple[int, dict[str, Any]]:
         raise ValueError("--d must be >= 1")
     _check_length("--modulus", ns.modulus)
     report = torus_identity_check(ns.d, ns.modulus)
-    table = [binomial_fold_sum(ns.d, ns.modulus, j) for j in range(ns.modulus)]
     residual = roots_of_unity_residual(ns.d, ns.modulus)
     doc = {
         "d": ns.d,
         "N": ns.modulus,
-        "S": table,
+        "S": list(report.sums),
         "NS0": report.NS0,
         "pow": report.pow,
         "holds": report.holds,

@@ -1,4 +1,4 @@
-"""Admissible Floer-homology profiles and periodicity feasibility.
+"""Admissible Floer-homology profiles and the collapse certificate.
 
 The spectral sequence is handled as a degree certificate, never as pages
 with actual differentials: each collapse argument in scope is of the form
@@ -8,11 +8,9 @@ with actual differentials: each collapse argument in scope is of the form
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from .charnum import CutContext
 from .coring import CohomologyRing, make_sphere
-from .fold import FoldedProfile, _fold_pairs, is_two_periodic
+from .fold import FoldedProfile, _fold_pairs
 
 EQUALS_COHOMOLOGY = "EqualsCohomology"
 COHOMOLOGY_MINUS_ENDS = "CohomologyMinusEnds"
@@ -87,23 +85,6 @@ class CollapseCertificate:
         return all(c.target_betti == 0 for c in self.per_page)
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    """Outcome of testing profiles against 2-periodicity.
-
-    feasible is True when some profile folds 2-periodically, False when
-    none does, and None when no profile was supplied at all (nothing is
-    forced, which is distinct from a contradiction).
-    """
-
-    feasible: bool | None
-    witnesses: tuple[HFProfile, ...]
-
-    @property
-    def indeterminate(self) -> bool:
-        return self.feasible is None
-
-
 def ss_collapse_certificate(ring: CohomologyRing, N_L: int) -> CollapseCertificate | None:
     """Certify collapse by checking all generator-degree targets are empty.
 
@@ -155,43 +136,3 @@ def sphere_local_rule(d: int, N_W: int) -> HFProfile | None:
     if (d + 1) % (2 * N_W) == 0:
         return None
     return HFProfile(EQUALS_COHOMOLOGY, make_sphere(d))
-
-
-@dataclass(frozen=True)
-class SeidelCandidate:
-    """Hypothesis bundle a candidate brings to the periodicity theorem."""
-
-    exact_or_simply_connected: bool
-    N_L: int
-
-
-def seidel_applicable(ctx: CutContext, N: int, candidate: SeidelCandidate) -> bool:
-    """Whether the 2-periodicity theorem applies with grading N.
-
-    Needs a monotone cut, N dividing twice the ambient Chern number, a
-    candidate with N_L >= 2, and a vanishing mod-N Maslov class.  The last
-    is granted for exact or simply connected candidates and otherwise
-    holds when N divides N_L.
-    """
-    if N < 1:
-        raise ValueError("grading N must be >= 1")
-    if not ctx.monotone:
-        return False
-    if (2 * ctx.chern_number) % N != 0:
-        return False
-    if candidate.N_L < 2:
-        return False
-    if candidate.exact_or_simply_connected:
-        return True
-    return candidate.N_L % N == 0
-
-
-def hf_feasible(profiles: Iterable[HFProfile], N: int) -> FeasibilityReport:
-    """Which of the given profiles admit a 2-periodic Z/N fold."""
-    if N < 1:
-        raise ValueError("grading N must be >= 1")
-    profs = tuple(profiles)
-    if not profs:
-        return FeasibilityReport(feasible=None, witnesses=())
-    witnesses = tuple(p for p in profs if is_two_periodic(p.fold(N)))
-    return FeasibilityReport(feasible=bool(witnesses), witnesses=witnesses)

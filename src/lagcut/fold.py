@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .coring import CohomologyRing, make_complex_projective
+from .coring import CohomologyRing, binomial_row, make_complex_projective
 
 
 class InvalidModulusError(ValueError):
@@ -40,11 +40,15 @@ class FoldedProfile:
 
 @dataclass(frozen=True)
 class TorusIdentityReport:
-    """Outcome of the equidistribution identity N*S_j = 2^d for the torus."""
+    """Outcome of the equidistribution identity N*S_j = 2^d for the torus.
+
+    sums holds S_0..S_{N-1}, the fold of the binomial row the test read.
+    """
 
     holds: bool
     NS0: int
     pow: int
+    sums: tuple[int, ...]
 
 
 def _fold_pairs(pairs: Iterable[tuple[int, int]], N: int) -> FoldedProfile:
@@ -73,13 +77,9 @@ def is_two_periodic(p: FoldedProfile) -> bool:
     return all(p.dims[j] == p.dims[(j + 2) % N] for j in range(N))
 
 
-def binomial_fold_sum(d: int, N: int, j: int) -> int:
-    """Exact S_j(d, N) = sum over k of C(d, j + k*N)."""
-    if N < 1:
-        raise InvalidModulusError("invalid-modulus: N must be >= 1")
-    if not 0 <= j < N:
-        raise ValueError(f"index j must satisfy 0 <= j < N, got {j}")
-    return sum(math.comb(d, i) for i in range(j, d + 1, N))
+def binomial_fold_sums(d: int, N: int) -> tuple[int, ...]:
+    """Exact S_0(d, N), ..., S_{N-1}(d, N), where S_j sums C(d, j + k*N) over k."""
+    return _fold_pairs(enumerate(binomial_row(d)), N).dims
 
 
 def torus_identity_check(d: int, N: int) -> TorusIdentityReport:
@@ -92,11 +92,11 @@ def torus_identity_check(d: int, N: int) -> TorusIdentityReport:
         raise ValueError("d must be >= 1")
     if N < 2 or N % 2 != 0:
         raise InvalidModulusError("invalid-modulus: identity requires even N >= 2")
-    sums = [binomial_fold_sum(d, N, j) for j in range(N)]
+    sums = binomial_fold_sums(d, N)
     pow2 = 1 << d
     ns0 = N * sums[0]
     holds = all(s == sums[0] for s in sums) and ns0 == pow2
-    return TorusIdentityReport(holds=holds, NS0=ns0, pow=pow2)
+    return TorusIdentityReport(holds=holds, NS0=ns0, pow=pow2, sums=sums)
 
 
 def roots_of_unity_residual(d: int, N: int) -> float:
@@ -112,7 +112,7 @@ def roots_of_unity_residual(d: int, N: int) -> float:
         raise ValueError("d must be >= 0")
     if N < 2:
         raise InvalidModulusError("invalid-modulus: N must be >= 2")
-    left = N * binomial_fold_sum(d, N, 0) - (1 << d)
+    left = N * binomial_fold_sums(d, N)[0] - (1 << d)
     trig = 0.0
     for k in range(1, N):
         trig += math.cos(math.pi * k / N) ** d * math.cos(math.pi * k * d / N)

@@ -18,7 +18,7 @@ from lagcut.coring import (
     make_torus,
     tensor,
 )
-from lagcut.fold import binomial_fold_sum, fold_mod, roots_of_unity_residual
+from lagcut.fold import binomial_fold_sums, fold_mod, roots_of_unity_residual
 from lagcut.obstruct import (
     INCONCLUSIVE,
     OBSTRUCTED,
@@ -27,7 +27,7 @@ from lagcut.obstruct import (
     check_sphere,
     scan,
 )
-from oracles import brute_convolve, is_prime, pascal_row, ramanujan_row
+from oracles import brute_convolve, brute_fold, is_prime, pascal_row, ramanujan_row
 
 
 def report(number: int, summary: str, elapsed: float) -> None:
@@ -66,7 +66,7 @@ def test_criterion_2_torus_reproduction():
     # even grading in range
     for N in range(4, 33, 2):
         d = 2 * N
-        assert N * binomial_fold_sum(d, N, 0) > (1 << d), (d, N)
+        assert N * binomial_fold_sums(d, N)[0] > (1 << d), (d, N)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     report(2, "torus gradings all forced to N = 2 on the 15x8 grid", elapsed)
@@ -85,7 +85,7 @@ def test_criterion_3_roots_of_unity_identity():
         }
         pow2 = 1 << d
         for N in range(2, 65):
-            lhs = N * binomial_fold_sum(d, N, 0) - pow2
+            lhs = N * binomial_fold_sums(d, N)[0] - pow2
             rhs = sum(trace[M] for M in range(2, N + 1) if N % M == 0)
             assert lhs == rhs, (d, N)
             assert roots_of_unity_residual(d, N) <= 1e-6, (d, N)
@@ -160,23 +160,22 @@ def test_criterion_6_lens_table():
 def test_criterion_7_property_suites():
     start = time.perf_counter()
 
-    # fold against the binomial resummation, every residue
+    # fold and binomial resummation against the folded Pascal row, every residue
     for d in range(1, 21):
         torus = make_torus(d)
+        row = pascal_row(d)
         for N in range(1, 2 * d + 5):
-            profile = fold_mod(torus, N)
-            for j in range(N):
-                assert profile.dims[j] == binomial_fold_sum(d, N, j), (d, N, j)
+            expected = tuple(brute_fold(row, N))
+            assert fold_mod(torus, N).dims == expected, (d, N)
+            assert binomial_fold_sums(d, N) == expected, (d, N)
 
     # Pascal induction stability
     for d0 in range(0, 31):
         for N in range(1, min(d0 + 4, 35)):
+            lhs = binomial_fold_sums(d0 + 1, N)
+            sums = binomial_fold_sums(d0, N)
             for j in range(N):
-                lhs = binomial_fold_sum(d0 + 1, N, j)
-                rhs = binomial_fold_sum(d0, N, j) + binomial_fold_sum(
-                    d0, N, (j - 1) % N
-                )
-                assert lhs == rhs, (d0, N, j)
+                assert lhs[j] == sums[j] + sums[(j - 1) % N], (d0, N, j)
 
     # Poincare duality across every constructor
     rings = (

@@ -5,6 +5,7 @@ import enum
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from lagcut.cli import (
     round_float,
     run,
 )
+from lagcut.coring import MAX_TORUS_DIM
 
 
 def run_json(argv):
@@ -402,6 +404,53 @@ def test_lengths_at_the_limit_run():
     code, doc = run_json(["identity", "--d", "3", "--modulus", str(MAX_LENGTH)])
     assert code == 0
     assert doc["S"][:5] == [1, 3, 3, 1, 0]
+
+
+TORUS_ROUTES = {
+    "identity": lambda d: ["identity", "--d", str(d), "--modulus", "4"],
+    "fold": lambda d: ["fold", "--candidate", f"torus:d={d}", "--modulus", "4"],
+    "check": lambda d: ["check", "torus", "--d", str(d), "--euler", "1"],
+}
+
+
+@pytest.mark.parametrize("route", TORUS_ROUTES)
+def test_torus_dimension_at_the_limit_runs(route):
+    argv = TORUS_ROUTES[route](MAX_TORUS_DIM)
+    start = time.perf_counter()
+    code, doc = run_json(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert run(argv)[0] == 0
+    if route == "identity":
+        assert doc["pow"] == sum(doc["S"]) == 1 << MAX_TORUS_DIM
+    elif route == "fold":
+        assert doc["total"] == 1 << MAX_TORUS_DIM
+    else:
+        assert doc["constraints"] == {"N": [2]}
+
+
+@pytest.mark.parametrize("route", TORUS_ROUTES)
+def test_torus_dimension_above_the_limit_is_a_usage_error(route):
+    argv = TORUS_ROUTES[route](MAX_TORUS_DIM + 1)
+    message = (
+        f"invalid-dimension: torus dimension {MAX_TORUS_DIM + 1} "
+        f"is outside [0, {MAX_TORUS_DIM}]"
+    )
+    code, doc = run_json(argv)
+    assert code == 1
+    assert doc["error"] == {"cite": "usage-error", "message": message}
+    assert run(argv) == (1, f"error [usage-error]: {message}\n")
+
+
+def test_scan_keeps_the_torus_row_above_the_limit():
+    d = f"{MAX_TORUS_DIM}..{MAX_TORUS_DIM + 1}"
+    code, doc = run_json(["scan", "--family", "torus", "--d", d, "--euler", "1"])
+    assert code == 2
+    below, above = doc["rows"]
+    assert below["verdict"]["constraints"] == {"N": [2]}
+    assert above["params"] == {"d": MAX_TORUS_DIM + 1, "euler": 1}
+    assert above["error"]["cite"] == "usage-error"
+    assert f"torus dimension {MAX_TORUS_DIM + 1} is outside" in above["error"]["message"]
 
 
 # -------------------------------------------------------------------- batch

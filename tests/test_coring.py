@@ -2,16 +2,19 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagcut.coring import (
+    MAX_TORUS_DIM,
     CohomologyRing,
     InvalidRingError,
     _degree_semigroup,
     _ungenerated,
+    binomial_row,
     make_complex_projective,
     make_custom,
     make_product_spheres,
@@ -40,11 +43,27 @@ def test_circle_is_a_valid_sphere():
 
 
 def test_torus_betti_matches_pascal():
-    for d in range(1, 13):
+    for d in [*range(1, 65), 300]:
         ring = make_torus(d)
         assert list(ring.betti) == pascal_row(d)
         assert ring.total_dim == 2**d
         assert ring.generator_degrees == (1,) * d
+
+
+def test_binomial_row_bounds():
+    assert binomial_row(0) == [1]
+    row = binomial_row(MAX_TORUS_DIM)
+    assert row == row[::-1]
+    assert sum(row) == 1 << MAX_TORUS_DIM
+    start = time.perf_counter()
+    ring = make_torus(MAX_TORUS_DIM)
+    assert time.perf_counter() - start < 1.0
+    assert ring.support == tuple(enumerate(row))
+    for d in (-1, MAX_TORUS_DIM + 1):
+        with pytest.raises(InvalidRingError, match=f"torus dimension {d} is outside"):
+            binomial_row(d)
+    with pytest.raises(InvalidRingError, match=f"torus dimension {MAX_TORUS_DIM + 1}"):
+        make_torus(MAX_TORUS_DIM + 1)
 
 
 def test_torus_three_frozen():

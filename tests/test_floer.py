@@ -1,10 +1,7 @@
-"""Tests for profile rules, collapse certificates, and periodicity gates."""
-
-from fractions import Fraction
+"""Tests for profile rules and collapse certificates."""
 
 import pytest
 
-from lagcut.charnum import CircleBundle, build_cut
 from lagcut.coring import (
     make_complex_projective,
     make_custom,
@@ -18,10 +15,7 @@ from lagcut.floer import (
     EQUALS_COHOMOLOGY,
     TRIVIAL,
     HFProfile,
-    SeidelCandidate,
-    hf_feasible,
     oh_profiles,
-    seidel_applicable,
     sphere_local_rule,
     ss_collapse_certificate,
 )
@@ -130,46 +124,3 @@ def test_sphere_local_rule():
         sphere_local_rule(1, 2)
     with pytest.raises(ValueError):
         sphere_local_rule(4, 0)
-
-
-def test_seidel_applicability():
-    ctx = build_cut(CircleBundle(total_dim=3, euler_number=2), Fraction(-1))
-    granted = SeidelCandidate(exact_or_simply_connected=True, N_L=4)
-    assert seidel_applicable(ctx, 4, granted)
-    assert not seidel_applicable(ctx, 3, granted)  # 3 does not divide 2 N_W = 4
-    small = SeidelCandidate(exact_or_simply_connected=True, N_L=1)
-    assert not seidel_applicable(ctx, 2, small)
-    plain = SeidelCandidate(exact_or_simply_connected=False, N_L=8)
-    assert seidel_applicable(ctx, 4, plain)  # mod-4 Maslov class vanishes
-    stuck = SeidelCandidate(exact_or_simply_connected=False, N_L=6)
-    assert not seidel_applicable(ctx, 4, stuck)
-    with pytest.raises(ValueError):
-        seidel_applicable(ctx, 0, granted)
-
-
-def test_hf_feasible():
-    empty = hf_feasible((), 4)
-    assert empty.feasible is None
-    assert empty.indeterminate
-
-    periodic = HFProfile(EQUALS_COHOMOLOGY, make_sphere(6))
-    report = hf_feasible([periodic], 4)
-    assert report.feasible is True
-    assert report.witnesses == (periodic,)
-
-    aperiodic = HFProfile(EQUALS_COHOMOLOGY, make_sphere(5))
-    report = hf_feasible([aperiodic], 8)
-    assert report.feasible is False
-    assert report.witnesses == ()
-    assert not report.indeterminate
-
-
-def test_hf_feasible_picks_out_witnesses():
-    sphere = make_sphere(5)
-    profiles = [
-        HFProfile(EQUALS_COHOMOLOGY, sphere),   # (1,0,...,1) mod 8: aperiodic
-        HFProfile(TRIVIAL, sphere),             # zero profile: periodic
-    ]
-    report = hf_feasible(profiles, 8)
-    assert report.feasible is True
-    assert [p.kind for p in report.witnesses] == [TRIVIAL]

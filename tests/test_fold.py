@@ -4,11 +4,17 @@ import random
 
 import pytest
 
-from lagcut.coring import make_complex_projective, make_sphere, make_torus
+from lagcut.coring import (
+    MAX_TORUS_DIM,
+    InvalidRingError,
+    make_complex_projective,
+    make_sphere,
+    make_torus,
+)
 from lagcut.fold import (
     FoldedProfile,
     InvalidModulusError,
-    binomial_fold_sum,
+    binomial_fold_sums,
     cp_profile_match,
     fold_dims,
     fold_mod,
@@ -52,26 +58,23 @@ def test_folded_profile_validation():
 
 
 def test_fold_mod_torus_equals_binomial_sums():
+    # both read the one binomial row, so both are checked against the
+    # additive Pascal recurrence folded by the reference bucketing
     for d in (3, 8, 11):
         for N in range(1, d + 4):
-            profile = fold_mod(make_torus(d), N)
-            assert profile.dims == tuple(
-                binomial_fold_sum(d, N, j) for j in range(N)
-            )
+            expected = tuple(brute_fold(pascal_row(d), N))
+            assert fold_mod(make_torus(d), N).dims == expected
+            assert binomial_fold_sums(d, N) == expected
 
 
 def test_binomial_fold_frozen_table_d8_n4():
     # hand checked: 1+70+1, 8+56, 28+28, 56+8
-    assert [binomial_fold_sum(8, 4, j) for j in range(4)] == [72, 64, 56, 64]
+    assert binomial_fold_sums(8, 4) == (72, 64, 56, 64)
 
 
 def test_binomial_fold_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        binomial_fold_sum(5, 3, 3)
-    with pytest.raises(ValueError):
-        binomial_fold_sum(5, 3, -1)
     with pytest.raises(InvalidModulusError):
-        binomial_fold_sum(5, 0, 0)
+        binomial_fold_sums(5, 0)
 
 
 def test_torus_fold_mod_two_splits_evenly():
@@ -91,6 +94,7 @@ def test_sphere_fold_frozen():
 def test_identity_check_fails_for_d8_n4():
     report = torus_identity_check(8, 4)
     assert not report.holds
+    assert report.sums == (72, 64, 56, 64)
     assert report.NS0 == 288
     assert report.pow == 256
 
@@ -143,26 +147,44 @@ def test_two_periodic_odd_modulus_forces_all_equal():
 def test_pascal_induction_spot_check():
     for d in (4, 9, 17):
         for N in range(1, d + 3):
+            lhs = binomial_fold_sums(d + 1, N)
+            sums = binomial_fold_sums(d, N)
             for j in range(N):
-                lhs = binomial_fold_sum(d + 1, N, j)
-                rhs = binomial_fold_sum(d, N, j) + binomial_fold_sum(d, N, (j - 1) % N)
-                assert lhs == rhs
+                assert lhs[j] == sums[j] + sums[(j - 1) % N]
 
 
 def test_binomial_fold_against_pascal_oracle():
     for d in (0, 5, 12):
         row = pascal_row(d)
         for N in (2, 3, 7):
-            for j in range(N):
-                assert binomial_fold_sum(d, N, j) == sum(
-                    row[i] for i in range(j, d + 1, N)
-                )
+            assert binomial_fold_sums(d, N) == tuple(
+                sum(row[i] for i in range(j, d + 1, N)) for j in range(N)
+            )
 
 
 def test_trig_residual_small_on_samples():
     # 2^1024 is past the float range; the residual must still be computed
     for d, N in ((2, 2), (8, 4), (13, 6), (30, 12), (64, 64), (1024, 4), (1024, 8)):
         assert roots_of_unity_residual(d, N) < 1e-9
+
+
+def test_torus_dimension_bound():
+    # the sums at the limit render under the default int -> str limit
+    sums = binomial_fold_sums(MAX_TORUS_DIM, 4)
+    assert sum(sums) == 1 << MAX_TORUS_DIM
+    assert len(str(max(sums))) < 4300
+    report = torus_identity_check(MAX_TORUS_DIM, 4)
+    assert report.sums == sums and report.NS0 == 4 * sums[0]
+    assert torus_identity_check(MAX_TORUS_DIM, 2).holds
+    assert roots_of_unity_residual(MAX_TORUS_DIM, 4) < 1e-9
+    d = MAX_TORUS_DIM + 1
+    for call in (
+        lambda: binomial_fold_sums(d, 4),
+        lambda: torus_identity_check(d, 4),
+        lambda: roots_of_unity_residual(d, 4),
+    ):
+        with pytest.raises(InvalidRingError, match=f"torus dimension {d} is outside"):
+            call()
 
 
 def test_trig_residual_rejects_bad_modulus():
