@@ -34,8 +34,6 @@ print("symplectic coefficient:", ctx.omega_coeff, "* pi")
 print("ambient monotonicity constant K_W:", ctx.K_W, "* pi")
 print("Lagrangian constant K_L:", ctx.K_L, "* pi")
 print("K_W equals 2 * K_L:", ctx.K_W == 2 * ctx.K_L)
-print("reduced symplectic coefficient:", ctx.reduced_omega_coeff, "* pi")
-print("reduced first Chern class (real):", ctx.reduced_c1_real)
 
 # Step 3: the zero section is a distinguished monotone Lagrangian in
 # the cut.  Its minimal Maslov number is always 2, independent of the

@@ -9,7 +9,6 @@ logic can be audited line by line.
 """
 
 from lagcut.obstruct import (
-    check_exact_in_cotangent,
     check_lens,
     check_product_spheres,
     check_simply_connected_in_cut,
@@ -54,8 +53,8 @@ show("product S^2 x S^4", check_product_spheres(2, 4, 8))
 # Exact Lagrangians in the cotangent bundle itself: the Maslov number
 # is 2m with m dividing the Euler number, squeezed by the dimension.
 show("exact, d = 7, euler 6", exact_verdict(7, 6))
-constraints = check_exact_in_cotangent(7, 6, use_surjectivity=True)
-print("with the surjectivity rule, m =", constraints.admissible)
+constraints = exact_verdict(7, 6, use_surjectivity=True).constraints
+print("with the surjectivity rule, m =", constraints["m"])
 print()
 
 # Lens space fillings: a prime order above n + 1 forces m = 1.

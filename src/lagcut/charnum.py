@@ -60,8 +60,6 @@ class CutContext:
     omega_coeff: Fraction
     K_W: Fraction
     K_L: Fraction
-    reduced_omega_coeff: Fraction
-    reduced_c1_real: int
 
     @property
     def monotone(self) -> bool:
@@ -153,8 +151,6 @@ def build_cut(bundle: CircleBundle, level: Fraction | int | str) -> CutContext:
         omega_coeff=-2 * xi,
         K_W=-2 * xi,
         K_L=-xi,
-        reduced_omega_coeff=-2 * xi,
-        reduced_c1_real=0,
     )
 
 

@@ -327,8 +327,10 @@ def _cmd_classes(ns: argparse.Namespace) -> tuple[int, dict[str, Any]]:
         "monotone": ctx.monotone,
         "monotone_constant": pi_json(section.monotone_constant),
         "disc_area": pi_json(section.disc_area),
-        "reduced_omega": pi_json(ctx.reduced_omega_coeff),
-        "reduced_c1_real": rational_json(ctx.reduced_c1_real),
+        # the reduced space carries the class omega_W and no real first
+        # Chern class, at every level
+        "reduced_omega": pi_json(ctx.omega_coeff),
+        "reduced_c1_real": rational_json(Fraction(0)),
     }
     return 0, doc
 

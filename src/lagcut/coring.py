@@ -11,7 +11,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable
 
 
 class InvalidRingError(ValueError):
@@ -23,21 +22,24 @@ class InvalidRingError(ValueError):
 # prints stays under CPython's default limit of 4,300 digits for int -> str.
 MAX_TORUS_DIM = 1 << 13
 
+# Largest top degree of a ring divided by the gcd g of its generator
+# degrees: the bit set that decides which degrees are generated has that
+# many bits.  At the limit CP^n takes about 1 s to build and check, and
+# S^l x S^(l+1) a few milliseconds.
+MAX_REDUCED_DEGREE = 1 << 20
 
-@dataclass(frozen=True, init=False)
+
+@dataclass(frozen=True)
 class CohomologyRing:
     """Graded dimension data of H^*(L; Z/2) for a closed connected L.
 
-    The stored form is the support: the pairs (k, dim H^k) with nonzero
-    dimension, by increasing degree k in 0..dim, so a sphere holds two
-    pairs whatever its dimension.  betti is the dense view b_0..b_dim,
-    built on each access.  generator_degrees is a multiset (sorted tuple)
-    of degrees of ring generators; multiplicity records the size of the
-    generating set, which the spectral-sequence bookkeeping iterates over.
-
-    The constructor takes the dense vector; from_support takes the pairs.
-    Both enforce the same invariants, in the same order, with the same
-    messages.
+    support holds the pairs (k, dim H^k) with nonzero dimension, by
+    increasing degree k in 0..dim, so a sphere holds two pairs whatever
+    its dimension.  betti is the dense view b_0..b_dim, built on each
+    access.  generator_degrees is a multiset (sorted tuple) of degrees of
+    ring generators; multiplicity records the size of the generating set,
+    which the spectral-sequence bookkeeping iterates over.  Pass both as
+    tuples; make_custom builds a ring from a dense vector.
     """
 
     label: str
@@ -45,36 +47,13 @@ class CohomologyRing:
     support: tuple[tuple[int, int], ...]
     generator_degrees: tuple[int, ...]
 
-    def __init__(
-        self,
-        label: str,
-        dim: int,
-        betti: tuple[int, ...],
-        generator_degrees: tuple[int, ...],
-    ) -> None:
-        _check_dim(dim)
-        if len(betti) != dim + 1:
-            raise InvalidRingError(
-                f"betti vector must have {dim + 1} entries, got {len(betti)}"
-            )
-        degrees = [k for k, b in enumerate(betti) if b]
-        dims = [betti[k] for k in degrees]
-        _check_support(dim, degrees, dims, generator_degrees)
-        self._set(label, dim, tuple(zip(degrees, dims)), generator_degrees)
-
-    @classmethod
-    def from_support(
-        cls,
-        label: str,
-        dim: int,
-        support: Iterable[tuple[int, int]],
-        generator_degrees: tuple[int, ...],
-    ) -> CohomologyRing:
-        """Build a ring from its (degree, dimension) pairs of nonzero dimension."""
-        _check_dim(dim)
-        support = tuple(support)
-        degrees = [k for k, _ in support]
-        dims = [b for _, b in support]
+    def __post_init__(self) -> None:
+        # the ring invariants, in check order
+        dim, generator_degrees = self.dim, self.generator_degrees
+        if dim < 0:
+            raise InvalidRingError("invalid-dimension: dim must be >= 0")
+        degrees = [k for k, _ in self.support]
+        dims = [b for _, b in self.support]
         if (
             0 in dims
             or degrees != sorted(set(degrees))
@@ -83,22 +62,24 @@ class CohomologyRing:
             raise InvalidRingError(
                 "support must list nonzero dimensions at increasing degrees in [0, dim]"
             )
-        _check_support(dim, degrees, dims, generator_degrees)
-        ring = cls.__new__(cls)
-        ring._set(label, dim, support, generator_degrees)
-        return ring
-
-    def _set(
-        self,
-        label: str,
-        dim: int,
-        support: tuple[tuple[int, int], ...],
-        generator_degrees: tuple[int, ...],
-    ) -> None:
-        # the fields of a frozen instance, written once by the constructors
-        self.__dict__.update(
-            label=label, dim=dim, support=support, generator_degrees=generator_degrees
-        )
+        if dims and min(dims) < 0:
+            raise InvalidRingError("betti numbers must be nonnegative")
+        if degrees[:1] != [0] or dims[0] != 1:
+            raise InvalidRingError("b_0 must be 1 (connected candidate)")
+        if dims != dims[::-1] or degrees != [dim - k for k in reversed(degrees)]:
+            # the failing degrees pair up as k, dim - k: report the lower
+            at = dict(self.support)
+            k = min(min(j, dim - j) for j, b in at.items() if at.get(dim - j, 0) != b)
+            raise InvalidRingError(f"Poincare duality fails: b_{k} != b_{dim - k}")
+        if generator_degrees and (
+            min(generator_degrees) < 1 or max(generator_degrees) > dim
+        ):
+            raise InvalidRingError("generator degrees must lie in [1, dim]")
+        ungenerated = _ungenerated(degrees[1:], generator_degrees)
+        if ungenerated:
+            raise InvalidRingError(
+                f"degree {ungenerated[0]} carries cohomology but is not generated"
+            )
 
     @property
     def betti(self) -> tuple[int, ...]:
@@ -121,31 +102,11 @@ class CohomologyRing:
         return sum(b for _, b in self.support)
 
 
-def _check_dim(dim: int) -> None:
-    if dim < 0:
-        raise InvalidRingError("invalid-dimension: dim must be >= 0")
-
-
-def _check_support(
-    dim: int, degrees: list[int], dims: list[int], generator_degrees: tuple[int, ...]
-) -> None:
-    # the ring invariants in check order, on the degrees and dimensions of
-    # the support
-    if dims and min(dims) < 0:
-        raise InvalidRingError("betti numbers must be nonnegative")
-    if degrees[:1] != [0] or dims[0] != 1:
-        raise InvalidRingError("b_0 must be 1 (connected candidate)")
-    if dims != dims[::-1] or degrees != [dim - k for k in reversed(degrees)]:
-        # the failing degrees pair up as k, dim - k: report the lower
-        at = dict(zip(degrees, dims))
-        k = min(min(j, dim - j) for j, b in at.items() if at.get(dim - j, 0) != b)
-        raise InvalidRingError(f"Poincare duality fails: b_{k} != b_{dim - k}")
-    if generator_degrees and (min(generator_degrees) < 1 or max(generator_degrees) > dim):
-        raise InvalidRingError("generator degrees must lie in [1, dim]")
-    ungenerated = _ungenerated(degrees[1:], generator_degrees)
-    if ungenerated:
+def _check_reduced_degree(top: int) -> None:
+    if top > MAX_REDUCED_DEGREE:
         raise InvalidRingError(
-            f"degree {ungenerated[0]} carries cohomology but is not generated"
+            f"invalid-dimension: top degree over the generator gcd is {top}, "
+            f"above the limit of {MAX_REDUCED_DEGREE}"
         )
 
 
@@ -172,15 +133,19 @@ def _ungenerated(degrees: list[int], generator_degrees: tuple[int, ...]) -> list
     g = gcd(*generator_degrees)
     if not degrees or not g:
         return degrees
-    reach = _degree_semigroup(tuple(x // g for x in generator_degrees), degrees[-1] // g)
-    return [k for k in degrees if k % g or not reach >> (k // g) & 1]
+    top = degrees[-1] // g
+    _check_reduced_degree(top)
+    reach = _degree_semigroup(tuple(x // g for x in generator_degrees), top)
+    # bits[i] is bit i of reach, read in one pass
+    bits = bin(reach)[:1:-1]
+    return [k for k in degrees if k % g or bits[k // g : k // g + 1] != "1"]
 
 
 def make_sphere(d: int) -> CohomologyRing:
     """Cohomology of the d-sphere: one class each in degrees 0 and d."""
     if d < 1:
         raise InvalidRingError("invalid-dimension: sphere needs d >= 1")
-    return CohomologyRing.from_support(f"sphere:d={d}", d, ((0, 1), (d, 1)), (d,))
+    return CohomologyRing(f"sphere:d={d}", d, ((0, 1), (d, 1)), (d,))
 
 
 def binomial_row(d: int) -> list[int]:
@@ -202,8 +167,8 @@ def make_torus(d: int) -> CohomologyRing:
     """Cohomology of the d-torus: b_k = C(d, k), generated in degree 1."""
     if d < 1:
         raise InvalidRingError("invalid-dimension: torus needs d >= 1")
-    support = enumerate(binomial_row(d))
-    return CohomologyRing.from_support(f"torus:d={d}", d, support, (1,) * d)
+    support = tuple(enumerate(binomial_row(d)))
+    return CohomologyRing(f"torus:d={d}", d, support, (1,) * d)
 
 
 def make_product_spheres(l: int, m: int) -> CohomologyRing:
@@ -212,15 +177,16 @@ def make_product_spheres(l: int, m: int) -> CohomologyRing:
         raise InvalidRingError("invalid-dimension: need 1 <= l <= m")
     d = l + m
     support = ((0, 1), (l, 2), (d, 1)) if l == m else ((0, 1), (l, 1), (m, 1), (d, 1))
-    return CohomologyRing.from_support(f"prodsph:l={l},m={m}", d, support, (l, m))
+    return CohomologyRing(f"prodsph:l={l},m={m}", d, support, (l, m))
 
 
 def make_complex_projective(n: int) -> CohomologyRing:
     """Cohomology of CP^n: one class in each even degree up to 2n."""
     if n < 1:
         raise InvalidRingError("invalid-dimension: need n >= 1")
-    support = ((k, 1) for k in range(0, 2 * n + 1, 2))
-    return CohomologyRing.from_support(f"cp:n={n}", 2 * n, support, (2,))
+    _check_reduced_degree(n)
+    support = tuple((k, 1) for k in range(0, 2 * n + 1, 2))
+    return CohomologyRing(f"cp:n={n}", 2 * n, support, (2,))
 
 
 def make_custom(
@@ -228,14 +194,15 @@ def make_custom(
     generator_degrees: list[int] | tuple[int, ...],
     label: str = "custom",
 ) -> CohomologyRing:
-    """Validated constructor for user-supplied rings.
+    """Validated constructor for user-supplied rings from a dense vector.
 
     The structural invariants (connectedness, duality, generated degrees)
     are enforced by CohomologyRing itself; this only normalises the input.
     """
-    betti_t = tuple(int(b) for b in betti)
+    dense = [int(b) for b in betti]
+    support = tuple((k, b) for k, b in enumerate(dense) if b)
     gens = tuple(sorted(int(g) for g in generator_degrees))
-    return CohomologyRing(label, len(betti_t) - 1, betti_t, gens)
+    return CohomologyRing(label, len(dense) - 1, support, gens)
 
 
 def tensor(a: CohomologyRing, b: CohomologyRing) -> CohomologyRing:
@@ -244,8 +211,6 @@ def tensor(a: CohomologyRing, b: CohomologyRing) -> CohomologyRing:
     for i, bi in a.support:
         for j, bj in b.support:
             dims[i + j] = dims.get(i + j, 0) + bi * bj
-    support = sorted(dims.items())
+    support = tuple(sorted(dims.items()))
     gens = tuple(sorted(a.generator_degrees + b.generator_degrees))
-    return CohomologyRing.from_support(
-        f"{a.label}*{b.label}", a.dim + b.dim, support, gens
-    )
+    return CohomologyRing(f"{a.label}*{b.label}", a.dim + b.dim, support, gens)

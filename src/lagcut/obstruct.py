@@ -87,21 +87,6 @@ class Verdict:
 
 
 @dataclass(frozen=True)
-class IndexConstraints:
-    """Arithmetic bounds on the index m of an exact candidate.
-
-    divisor_bound is the Euler number m must divide; size_bound is d + 2,
-    the quantity 2m may not exceed; admissible enumerates the survivors.
-    """
-
-    divisor_bound: int
-    size_bound: int
-    admissible: tuple[int, ...]
-    surjectivity_rule_applied: bool
-    h1_nonzero_forced: bool
-
-
-@dataclass(frozen=True)
 class ScanRow:
     params: dict[str, int]
     verdict: Verdict | None
@@ -220,29 +205,19 @@ def check_simply_connected_in_cut(d: int, N_e: int, N: int) -> Verdict:
     return Verdict(INCONCLUSIVE, None, tuple(trace))
 
 
-def check_exact_in_cotangent(
-    d: int, N_e: int, use_surjectivity: bool = False
-) -> IndexConstraints:
-    """Admissible indices m for an exact candidate with zero Maslov class."""
+def exact_verdict(d: int, N_e: int, use_surjectivity: bool = False) -> Verdict:
+    """Admissible indices m for an exact candidate with zero Maslov class.
+
+    m divides N_e and 2m <= d + 2; the surjectivity rule keeps only m = 1.
+    """
     if d < 2:
         raise ValueError("d must be >= 2")
     if N_e < 1:
         raise ValueError("N_e must be >= 1")
-    admissible = tuple(m for m in _divisors(N_e) if 2 * m <= d + 2)
+    admissible = [m for m in _divisors(N_e) if 2 * m <= d + 2]
     if use_surjectivity:
-        admissible = tuple(m for m in admissible if m == 1)
-    return IndexConstraints(
-        divisor_bound=N_e,
-        size_bound=d + 2,
-        admissible=admissible,
-        surjectivity_rule_applied=use_surjectivity,
-        h1_nonzero_forced=2 * N_e > d + 2,
-    )
-
-
-def exact_verdict(d: int, N_e: int, use_surjectivity: bool = False) -> Verdict:
-    """Verdict wrapper around the exact-candidate index constraints."""
-    ic = check_exact_in_cotangent(d, N_e, use_surjectivity)
+        admissible = [m for m in admissible if m == 1]
+    h1_nonzero_forced = 2 * N_e > d + 2
     trace = [
         TraceStep(CITE_MASLOV_EXACT, "an exact candidate of index m has N_L = 2m"),
         TraceStep(CITE_INDEX_DIVISOR, f"m divides N_e = {N_e}"),
@@ -252,7 +227,7 @@ def exact_verdict(d: int, N_e: int, use_surjectivity: bool = False) -> Verdict:
         trace.append(
             TraceStep(CITE_SURJECTIVITY, "surjectivity rule active: m = 1 forced")
         )
-    if ic.h1_nonzero_forced:
+    if h1_nonzero_forced:
         trace.append(
             TraceStep(
                 CITE_H1_TORSION,
@@ -261,9 +236,9 @@ def exact_verdict(d: int, N_e: int, use_surjectivity: bool = False) -> Verdict:
             )
         )
     constraints = {
-        "m": list(ic.admissible),
-        "surjectivity_rule_applied": ic.surjectivity_rule_applied,
-        "h1_nonzero_forced": ic.h1_nonzero_forced,
+        "m": admissible,
+        "surjectivity_rule_applied": use_surjectivity,
+        "h1_nonzero_forced": h1_nonzero_forced,
     }
     return Verdict(CONSTRAINED, constraints, tuple(trace))
 
@@ -449,8 +424,7 @@ def check_product_spheres(l: int, m: int, N_e: int) -> Verdict:
         if N <= bound:
             admissible.append(N)
             continue
-        # always valid: N >= m + 2 puts every target g + 1 - rN below 0
-        ss_collapse_certificate(ring, N)
+        # collapse holds: N >= m + 2 puts every target g + 1 - rN below 0
         targets = sorted({g + 1 - N for g in set(ring.generator_degrees)})
         trace.append(
             TraceStep(
@@ -526,8 +500,8 @@ def check_lens(p: int, n: int) -> Verdict:
     if n < 1:
         raise ValueError("n must be >= 1")
     d = 2 * n + 1
-    ic = check_exact_in_cotangent(d, p)
-    admissible = [m for m in ic.admissible if m <= n + 1]
+    # m divides p and 2m <= d + 2 = 2n + 3, that is m <= n + 1
+    admissible = [m for m in _divisors(p) if m <= n + 1]
     trace = [
         TraceStep(CITE_MASLOV_EXACT, f"dimension d = 2n + 1 = {d}, N_L = 2m"),
         TraceStep(CITE_INDEX_DIVISOR, f"m divides p = {p}"),

@@ -31,8 +31,6 @@ def test_cut_at_minus_one_half():
     assert ctx.omega_coeff == Fraction(1)
     assert ctx.K_W == Fraction(1)
     assert ctx.K_L == Fraction(1, 2)
-    assert ctx.reduced_omega_coeff == Fraction(1)
-    assert ctx.reduced_c1_real == 0
     assert ctx.monotone
 
 

@@ -24,7 +24,7 @@ from lagcut.cli import (
     round_float,
     run,
 )
-from lagcut.coring import MAX_TORUS_DIM
+from lagcut.coring import MAX_REDUCED_DEGREE, MAX_TORUS_DIM
 
 
 def run_json(argv):
@@ -451,6 +451,47 @@ def test_scan_keeps_the_torus_row_above_the_limit():
     assert above["params"] == {"d": MAX_TORUS_DIM + 1, "euler": 1}
     assert above["error"]["cite"] == "usage-error"
     assert f"torus dimension {MAX_TORUS_DIM + 1} is outside" in above["error"]["message"]
+
+
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "argv, top",
+    [
+        (["check", "prodsph", "--l", "1", "--m", HUGE, "--euler", "6"], int(HUGE) + 1),
+        (["fold", "--candidate", f"prodsph:l=1,m={HUGE}", "--modulus", "3"], int(HUGE) + 1),
+        (
+            ["check", "prodsph", "--l", "10000000000", "--m", "10000000001", "--euler", "6"],
+            20000000001,
+        ),
+        (["fold", "--candidate", "cp:n=100000000", "--modulus", "3"], 100000000),
+    ],
+)
+def test_generated_degree_bit_set_above_the_limit_is_a_usage_error(argv, top):
+    message = (
+        f"invalid-dimension: top degree over the generator gcd is {top}, "
+        f"above the limit of {MAX_REDUCED_DEGREE}"
+    )
+    start = time.perf_counter()
+    code, doc = run_json(argv)
+    assert code == 1
+    assert doc["error"] == {"cite": "usage-error", "message": message}
+    assert run(argv) == (1, f"error [usage-error]: {message}\n")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_scan_keeps_the_row_above_the_generated_degree_limit():
+    argv = ["scan", "--family", "prodsph", "--l", "1", "--m", HUGE, "--euler", "6"]
+    code, doc = run_json(argv)
+    assert code == 2
+    (row,) = doc["rows"]
+    assert row["params"] == {"l": 1, "m": int(HUGE), "euler": 6}
+    assert row["error"]["cite"] == "usage-error"
+    assert f"above the limit of {MAX_REDUCED_DEGREE}" in row["error"]["message"]
+    code, out = run(argv)
+    assert code == 2
+    assert out.endswith("rows: 1  errors: 1\n")
 
 
 # -------------------------------------------------------------------- batch

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagcut.coring import (
+    MAX_REDUCED_DEGREE,
     MAX_TORUS_DIM,
     CohomologyRing,
     InvalidRingError,
@@ -140,8 +141,9 @@ def test_custom_accepts_generated_ring():
 
 
 def test_betti_length_must_match_dim():
+    # a support degree above dim is an entry past the end of the dense vector
     with pytest.raises(InvalidRingError):
-        CohomologyRing("bad", 2, (1, 1), (1,))
+        CohomologyRing("bad", 2, ((0, 1), (3, 1)), (1,))
 
 
 @pytest.mark.parametrize(
@@ -149,8 +151,8 @@ def test_betti_length_must_match_dim():
     [
         (lambda: CohomologyRing("bad", -1, (), ()), "invalid-dimension: dim must be >= 0"),
         (
-            lambda: CohomologyRing("bad", 2, (1, 1), (1,)),
-            "betti vector must have 3 entries, got 2",
+            lambda: CohomologyRing("bad", 2, ((0, 1), (3, 1)), (1,)),
+            "support must list nonzero dimensions at increasing degrees in [0, dim]",
         ),
         (lambda: make_custom([1, -1, 1], [1]), "betti numbers must be nonnegative"),
         (lambda: make_custom([2, 0, 2], [2]), "b_0 must be 1 (connected candidate)"),
@@ -250,8 +252,8 @@ def test_support_form_agrees_with_the_dense_vector(inputs):
     betti, gens = inputs
     dim = len(betti) - 1
     support = tuple((k, b) for k, b in enumerate(betti) if b)
-    dense = ring_or_error(lambda: CohomologyRing("r", dim, tuple(betti), gens))
-    sparse = ring_or_error(lambda: CohomologyRing.from_support("r", dim, support, gens))
+    dense = ring_or_error(lambda: make_custom(betti, gens, label="r"))
+    sparse = ring_or_error(lambda: CohomologyRing("r", dim, support, gens))
     expected_error = dense_ring_error(betti, gens)
     if expected_error is not None:
         assert dense == sparse == expected_error
@@ -284,7 +286,7 @@ def test_support_form_agrees_with_the_dense_vector(inputs):
 )
 def test_from_support_rejects_malformed_pairs(dim, support):
     with pytest.raises(InvalidRingError) as info:
-        CohomologyRing.from_support("bad", dim, support, (3,))
+        CohomologyRing("bad", dim, support, (3,))
     assert str(info.value) == (
         "support must list nonzero dimensions at increasing degrees in [0, dim]"
     )
@@ -304,6 +306,38 @@ def test_ungenerated_degrees_match_set_closure():
             for top in (1, 7, 60):
                 expected = set(range(1, top + 1)) - brute_semigroup(degrees, top)
                 assert set(_ungenerated(list(range(1, top + 1)), degrees)) == expected
+
+
+def test_generated_degrees_are_read_in_linear_time():
+    # 400,001 support degrees, each looked up in a bit set of 400,000 bits
+    n = 400_000
+    start = time.perf_counter()
+    ring = make_complex_projective(n)
+    assert time.perf_counter() - start < 1.0
+    assert len(ring.support) == n + 1
+    assert ring.support[-1] == (2 * n, 1)
+
+
+def test_generated_degree_bit_set_is_bounded():
+    top = MAX_REDUCED_DEGREE
+    assert make_product_spheres(1, top - 1).support[-1] == (top, 1)
+    assert make_product_spheres(10**20, 10**20).support[-1] == (2 * 10**20, 1)
+    for make, reduced in [
+        (lambda: make_product_spheres(1, top), top + 1),
+        (lambda: make_product_spheres(1, 10**20), 10**20 + 1),
+        (lambda: make_product_spheres(10**10, 10**10 + 1), 2 * 10**10 + 1),
+        (lambda: make_complex_projective(top + 1), top + 1),
+        (lambda: make_complex_projective(10**8), 10**8),
+        (lambda: tensor(make_sphere(2 * top), make_sphere(3)), 2 * top + 3),
+    ]:
+        start = time.perf_counter()
+        with pytest.raises(InvalidRingError) as info:
+            make()
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == (
+            f"invalid-dimension: top degree over the generator gcd is {reduced}, "
+            f"above the limit of {top}"
+        )
 
 
 def test_poincare_duality_all_constructors():

@@ -1,5 +1,7 @@
-"""Smoke test: every narrative script in demos/ runs to completion."""
+"""Smoke tests: every narrative script in demos/ runs to completion, and the
+README quick start holds as a doctest."""
 
+import doctest
 import os
 import subprocess
 import sys
@@ -22,3 +24,8 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start():
+    results = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
+    assert results.attempted and not results.failed

@@ -16,7 +16,6 @@ from lagcut.obstruct import (
     OBSTRUCTED,
     HypothesisViolation,
     _divisors,
-    check_exact_in_cotangent,
     check_lens,
     check_product_spheres,
     check_simply_connected_in_cut,
@@ -225,24 +224,27 @@ def test_product_spheres_validation():
 
 
 def test_exact_index_constraints():
-    ic = check_exact_in_cotangent(7, 6)
-    assert ic.divisor_bound == 6
-    assert ic.size_bound == 9
-    assert ic.admissible == (1, 2, 3)
-    assert ic.h1_nonzero_forced
-    assert not ic.surjectivity_rule_applied
+    verdict = exact_verdict(7, 6)
+    details = [step.detail for step in verdict.trace]
+    assert "m divides N_e = 6" in details
+    assert "2m <= d + 2 = 9" in details
+    assert verdict.constraints == {
+        "m": [1, 2, 3],
+        "surjectivity_rule_applied": False,
+        "h1_nonzero_forced": True,
+    }
 
 
 def test_exact_surjectivity_rule():
-    ic = check_exact_in_cotangent(7, 6, use_surjectivity=True)
-    assert ic.admissible == (1,)
-    assert ic.surjectivity_rule_applied
+    constraints = exact_verdict(7, 6, use_surjectivity=True).constraints
+    assert constraints["m"] == [1]
+    assert constraints["surjectivity_rule_applied"]
 
 
 def test_exact_h1_flag_off_when_range_is_wide():
-    ic = check_exact_in_cotangent(10, 3)
-    assert ic.admissible == (1, 3)
-    assert not ic.h1_nonzero_forced
+    constraints = exact_verdict(10, 3).constraints
+    assert constraints["m"] == [1, 3]
+    assert not constraints["h1_nonzero_forced"]
 
 
 def test_exact_verdict_trace():
@@ -260,9 +262,9 @@ def test_exact_verdict_trace():
 
 def test_exact_validation():
     with pytest.raises(ValueError):
-        check_exact_in_cotangent(1, 3)
+        exact_verdict(1, 3)
     with pytest.raises(ValueError):
-        check_exact_in_cotangent(5, 0)
+        exact_verdict(5, 0)
 
 
 # ---------------------------------------------------------------- lens check
