@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable
@@ -48,15 +49,31 @@ _SCAN_PARAMS = tuple(dict.fromkeys(p for params, _ in FAMILIES.values() for p in
 # largest being a 9,950-row lens scan, and is checked before allocating.
 MAX_LENGTH = 1 << 14
 
+# Upper bound on the decimal digits of a number the user writes that a
+# report computes with: the numerator and denominator of a rational level
+# (exponent included, checked before the literal is expanded) and each
+# entry of a custom ring's lists.  A report doubles a level and sums Betti
+# numbers, and CPython prints ints of at most 4,300 digits.
+MAX_DIGITS = 4096
+_DIGITS_BOUND = 10**MAX_DIGITS
+
 
 class UsageError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
-    # raise instead of exiting so run() stays a pure function of argv
+    # raise instead of printing and exiting so run() stays a pure function
+    # of argv
     def error(self, message: str) -> None:
         raise UsageError(message)
+
+    def print_help(self, file: Any = None) -> None:
+        raise _HelpRequested(self.format_help())
 
 
 # CPython 3.11 skips its C encoder whenever an indent is given, so the
@@ -70,26 +87,49 @@ _SCALARS: dict[type, Callable[[Any], str]] = {
 }
 
 
+# what a subclass of a JSON type renders as, tested in the order json does
+_BASES = (str, int, float, list, tuple, dict)
+
+
+@lru_cache(maxsize=64)
+def _key_order(keys: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
+    # A dict's keys in sorted order, each with its rendered '"key": ' head.
+    # The documents here reuse a few key sets (13 across a sweep's scans),
+    # so each set is sorted and encoded once.
+    return tuple((k, f"{encode_basestring_ascii(k)}: ") for k in sorted(keys))
+
+
 def _render(doc: Any, pad: str) -> str:
-    scalar = _SCALARS.get(type(doc))
-    if scalar is not None:
-        return scalar(doc)
-    inner = pad + "  "
-    if isinstance(doc, dict):
-        parts = [
-            f"{encode_basestring_ascii(k)}: {_render(v, inner)}"
-            for k, v in sorted(doc.items())
-        ]
+    # The exact container types are tested first, and a container renders
+    # its scalar children in its own loop, through _SCALARS, instead of
+    # calling _render once per scalar.
+    kind = type(doc)
+    if kind is not dict and kind is not list and kind is not tuple:
+        scalar = _SCALARS.get(kind)
+        if scalar is not None:
+            return scalar(doc)
+        kind = next((base for base in _BASES if isinstance(doc, base)), None)
+        if kind is None:
+            raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+        if kind in _SCALARS:
+            return _SCALARS[kind](doc)
+        if kind is dict:
+            # read a mapping subclass through items(), as json does
+            doc = dict(doc.items())
+    get, inner = _SCALARS.get, pad + "  "
+    parts = []
+    if kind is dict:
+        for k, head in _key_order(tuple(doc)):
+            v = doc[k]
+            scalar = get(type(v))
+            # one expression, so no local keeps a rendered child alive
+            parts.append(head + (scalar(v) if scalar is not None else _render(v, inner)))
         brackets = "{}"
-    elif isinstance(doc, (list, tuple)):
-        parts = [_render(v, inner) for v in doc]
-        brackets = "[]"
     else:
-        # subclasses of the scalar types, in the order json tests them
-        for base in (str, int, float):
-            if isinstance(doc, base):
-                return _SCALARS[base](doc)
-        raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+        for v in doc:
+            scalar = get(type(v))
+            parts.append(scalar(v) if scalar is not None else _render(v, inner))
+        brackets = "[]"
     if not parts:
         return brackets
     sep = ",\n" + inner
@@ -109,12 +149,28 @@ def round_float(x: float) -> float:
     return float(f"{x:.9g}")
 
 
+def _check_digits(what: str, value: int) -> None:
+    if abs(value) >= _DIGITS_BOUND:
+        raise ValueError(f"{what} has more than {MAX_DIGITS} digits")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or a decimal literal into an exact rational."""
+    """Parse 'p/q' or a decimal literal into an exact rational.
+
+    Its numerator and denominator may have at most MAX_DIGITS digits.
+    """
+    exponent = text.lower().partition("e")[2].strip().lstrip("+-").lstrip("0")
+    if exponent.isdecimal() and (
+        len(exponent) > len(str(MAX_DIGITS)) or int(exponent) > MAX_DIGITS
+    ):
+        raise ValueError(f"the exponent of {text!r} is above the limit of {MAX_DIGITS}")
     try:
-        return Fraction(text)
+        fr = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational literal {text!r}") from exc
+    _check_digits(f"the numerator of {text!r}", fr.numerator)
+    _check_digits(f"the denominator of {text!r}", fr.denominator)
+    return fr
 
 
 def rational_json(fr: Fraction) -> dict[str, int]:
@@ -190,12 +246,14 @@ def _split_top(text: str) -> list[str]:
 def _int_list(text: str, what: str) -> tuple[int, ...]:
     try:
         values = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{what} must be a JSON list of integers") from exc
     if not isinstance(values, list) or not all(
         isinstance(v, int) and not isinstance(v, bool) for v in values
     ):
         raise ValueError(f"{what} must be a JSON list of integers")
+    for v in values:
+        _check_digits(f"an entry of {what}", v)
     return tuple(values)
 
 
@@ -520,8 +578,12 @@ def _run_batch(path: str) -> tuple[int, str]:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
         return 1, f"usage error: cannot read batch file: {exc}\n"
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, and a file that is not text or holds an int of
+        # more digits than CPython converts
         return 1, f"usage error: batch file is not valid JSON: {exc}\n"
+    except RecursionError:
+        return 1, "usage error: batch file nests too deeply\n"
     if not isinstance(raw, list):
         return 1, "usage error: batch file must hold a JSON array\n"
     parser = _build_parser()
@@ -542,6 +604,8 @@ def _run_batch(path: str) -> tuple[int, str]:
             ns = parser.parse_args(tokens)
         except UsageError as exc:
             return 1, f"usage error: batch entry {idx} does not parse: {exc}\n"
+        except _HelpRequested:
+            return 1, f"usage error: batch entry {idx} asks for help, which has no report\n"
         if ns.batch or not ns.cmd:
             return 1, f"usage error: batch entry {idx} must name a subcommand\n"
         entries.append((entry, ns))
@@ -567,6 +631,8 @@ def run(argv: list[str]) -> tuple[int, str]:
         ns = _build_parser().parse_args(_merge_rationals(list(argv)))
     except UsageError as exc:
         return 1, f"usage error: {exc}\n"
+    except _HelpRequested as exc:
+        return 0, str(exc)
     if ns.batch and ns.cmd:
         return 1, "usage error: --batch excludes a direct subcommand\n"
     if ns.batch:

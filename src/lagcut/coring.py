@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 
@@ -24,9 +25,28 @@ MAX_TORUS_DIM = 1 << 13
 
 # Largest top degree of a ring divided by the gcd g of its generator
 # degrees: the bit set that decides which degrees are generated has that
-# many bits.  At the limit CP^n takes about 1 s to build and check, and
-# S^l x S^(l+1) a few milliseconds.
-MAX_REDUCED_DEGREE = 1 << 20
+# many bits.  Just under the limit S^1 x S^(2^24 - 1) takes about 80 ms to
+# build and check and 45 MB at its peak, the bit set being read back as a
+# string of 2^24 digits.
+MAX_REDUCED_DEGREE = 1 << 24
+
+# Largest number of support pairs make_complex_projective builds (CP^n has
+# n + 1).  Just under the limit CP^n takes about 1 s to build and check and
+# 170 MB at its peak.
+MAX_SUPPORT_PAIRS = 1 << 20
+
+# make_sphere, make_torus and make_product_spheres return frozen rings from
+# memos keyed on their exact int arguments (typed, so make_torus(True)
+# keeps its label).  A scan puts the ring's parameters in its outer loops:
+# the first 60 ops of the benchmark's sweep workload (seed 5) make 14,011
+# ring calls, 91% of them repeating the call before, for 293 distinct
+# rings, at most 207 of one family and 64 in one scan.  A sphere or product
+# ring holds at most four pairs, so a full memo of RING_MEMO_SIZE of them
+# holds under 1 MB.  make_torus(8192) holds 6.4 MB of binomials, so the
+# torus memo keeps TORUS_MEMO_SIZE rings, about 120 MB if every one is that
+# large; a torus scan meets its tori in order of d.
+RING_MEMO_SIZE = 256
+TORUS_MEMO_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -102,14 +122,6 @@ class CohomologyRing:
         return sum(b for _, b in self.support)
 
 
-def _check_reduced_degree(top: int) -> None:
-    if top > MAX_REDUCED_DEGREE:
-        raise InvalidRingError(
-            f"invalid-dimension: top degree over the generator gcd is {top}, "
-            f"above the limit of {MAX_REDUCED_DEGREE}"
-        )
-
-
 def _degree_semigroup(degrees: tuple[int, ...], limit: int) -> int:
     # Bit set of the degrees in [1, limit] reachable as sums of generator
     # degrees (each >= 1), repetition allowed: powers of a generator count,
@@ -134,7 +146,11 @@ def _ungenerated(degrees: list[int], generator_degrees: tuple[int, ...]) -> list
     if not degrees or not g:
         return degrees
     top = degrees[-1] // g
-    _check_reduced_degree(top)
+    if top > MAX_REDUCED_DEGREE:
+        raise InvalidRingError(
+            f"invalid-dimension: top degree over the generator gcd is {top}, "
+            f"above the limit of {MAX_REDUCED_DEGREE}"
+        )
     reach = _degree_semigroup(tuple(x // g for x in generator_degrees), top)
     # bits[i] is bit i of reach, read in one pass
     bits = bin(reach)[:1:-1]
@@ -143,6 +159,11 @@ def _ungenerated(degrees: list[int], generator_degrees: tuple[int, ...]) -> list
 
 def make_sphere(d: int) -> CohomologyRing:
     """Cohomology of the d-sphere: one class each in degrees 0 and d."""
+    return _sphere(d)
+
+
+@lru_cache(maxsize=RING_MEMO_SIZE, typed=True)
+def _sphere(d: int) -> CohomologyRing:
     if d < 1:
         raise InvalidRingError("invalid-dimension: sphere needs d >= 1")
     return CohomologyRing(f"sphere:d={d}", d, ((0, 1), (d, 1)), (d,))
@@ -165,6 +186,11 @@ def binomial_row(d: int) -> list[int]:
 
 def make_torus(d: int) -> CohomologyRing:
     """Cohomology of the d-torus: b_k = C(d, k), generated in degree 1."""
+    return _torus(d)
+
+
+@lru_cache(maxsize=TORUS_MEMO_SIZE, typed=True)
+def _torus(d: int) -> CohomologyRing:
     if d < 1:
         raise InvalidRingError("invalid-dimension: torus needs d >= 1")
     support = tuple(enumerate(binomial_row(d)))
@@ -173,6 +199,11 @@ def make_torus(d: int) -> CohomologyRing:
 
 def make_product_spheres(l: int, m: int) -> CohomologyRing:
     """Cohomology of S^l x S^m with 1 <= l <= m, generated in degrees l, m."""
+    return _product_spheres(l, m)
+
+
+@lru_cache(maxsize=RING_MEMO_SIZE, typed=True)
+def _product_spheres(l: int, m: int) -> CohomologyRing:
     if l < 1 or m < l:
         raise InvalidRingError("invalid-dimension: need 1 <= l <= m")
     d = l + m
@@ -184,7 +215,11 @@ def make_complex_projective(n: int) -> CohomologyRing:
     """Cohomology of CP^n: one class in each even degree up to 2n."""
     if n < 1:
         raise InvalidRingError("invalid-dimension: need n >= 1")
-    _check_reduced_degree(n)
+    if n + 1 > MAX_SUPPORT_PAIRS:
+        raise InvalidRingError(
+            f"invalid-dimension: CP^{n} has {n + 1} support pairs, "
+            f"above the limit of {MAX_SUPPORT_PAIRS}"
+        )
     support = tuple((k, 1) for k in range(0, 2 * n + 1, 2))
     return CohomologyRing(f"cp:n={n}", 2 * n, support, (2,))
 

@@ -24,6 +24,21 @@ from .coring import make_complex_projective, make_product_spheres, make_torus
 from .fold import fold_mod, is_two_periodic
 from .floer import oh_profiles, sphere_local_rule, ss_collapse_certificate
 
+# Largest grading a check folds into: 2 N_e for check_torus and
+# check_product_spheres, which fold at every even divisor N of 2 N_e, and
+# the grading N of check_sphere.  Each fold allocates N entries and its
+# trace prints them.  At 2 N_e = 2,096,640, the even number under the limit
+# with the largest sum of even divisors, `check torus --d 64 --format json`
+# takes 1.3 s and 160 MB and prints 27 MB; check_sphere at N = 2^21 takes
+# 0.35 s.
+MAX_FOLD_MODULUS = 1 << 21
+
+# Largest number whose divisors a check enumerates in O(sqrt(n)) steps: p
+# in check_lens (which also tests p for primality the same way) and N_e in
+# exact_verdict.  At the prime 2^40 - 87 check_lens takes 0.2 s and
+# exact_verdict 0.08 s.
+MAX_DIVISOR_SEARCH = 1 << 40
+
 OBSTRUCTED = "Obstructed"
 CONSTRAINED = "Constrained"
 INCONCLUSIVE = "Inconclusive"
@@ -107,6 +122,11 @@ def _is_prime(n: int) -> bool:
             return False
         k += 1
     return True
+
+
+def _check_limit(name: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise ValueError(f"{name} = {value} is above the limit of {limit}")
 
 
 def _even_grading_candidates(N_e: int) -> list[int]:
@@ -214,6 +234,7 @@ def exact_verdict(d: int, N_e: int, use_surjectivity: bool = False) -> Verdict:
         raise ValueError("d must be >= 2")
     if N_e < 1:
         raise ValueError("N_e must be >= 1")
+    _check_limit("N_e", N_e, MAX_DIVISOR_SEARCH)
     admissible = [m for m in _divisors(N_e) if 2 * m <= d + 2]
     if use_surjectivity:
         admissible = [m for m in admissible if m == 1]
@@ -252,6 +273,7 @@ def check_sphere(d: int, N_e: int, N: int) -> Verdict:
     if N < 2:
         raise ValueError("grading N must be >= 2")
     _require_grading_divides(N, N_e)
+    _check_limit("grading N", N, MAX_FOLD_MODULUS)
     n_l = 2 * N_e
     trace = [
         TraceStep(CITE_CHERN_EQUALS_EULER, f"N_W = N_e = {N_e}"),
@@ -333,6 +355,7 @@ def check_torus(d: int, N_e: int) -> Verdict:
         raise ValueError("d must be >= 1")
     if N_e < 1:
         raise ValueError("N_e must be >= 1")
+    _check_limit("2 N_e", 2 * N_e, MAX_FOLD_MODULUS)
     ring = make_torus(d)
     candidates = _even_grading_candidates(N_e)
     trace = [
@@ -404,6 +427,7 @@ def check_product_spheres(l: int, m: int, N_e: int) -> Verdict:
         raise ValueError("need 1 <= l <= m")
     if N_e < 1:
         raise ValueError("N_e must be >= 1")
+    _check_limit("2 N_e", 2 * N_e, MAX_FOLD_MODULUS)
     ring = make_product_spheres(l, m)
     candidates = _even_grading_candidates(N_e)
     bound = m + 1
@@ -499,6 +523,7 @@ def check_lens(p: int, n: int) -> Verdict:
         raise ValueError("p must be >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_limit("p", p, MAX_DIVISOR_SEARCH)
     d = 2 * n + 1
     # m divides p and 2m <= d + 2 = 2n + 3, that is m <= n + 1
     admissible = [m for m in _divisors(p) if m <= n + 1]

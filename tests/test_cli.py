@@ -3,15 +3,18 @@
 import collections
 import enum
 import json
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lagcut
 from lagcut.cli import (
     MAX_LENGTH,
     canonical_json,
@@ -24,7 +27,7 @@ from lagcut.cli import (
     round_float,
     run,
 )
-from lagcut.coring import MAX_REDUCED_DEGREE, MAX_TORUS_DIM
+from lagcut.coring import MAX_REDUCED_DEGREE, MAX_SUPPORT_PAIRS, MAX_TORUS_DIM
 
 
 def run_json(argv):
@@ -465,7 +468,6 @@ HUGE = "99999999999999999999"
             ["check", "prodsph", "--l", "10000000000", "--m", "10000000001", "--euler", "6"],
             20000000001,
         ),
-        (["fold", "--candidate", "cp:n=100000000", "--modulus", "3"], 100000000),
     ],
 )
 def test_generated_degree_bit_set_above_the_limit_is_a_usage_error(argv, top):
@@ -479,6 +481,32 @@ def test_generated_degree_bit_set_above_the_limit_is_a_usage_error(argv, top):
     assert doc["error"] == {"cite": "usage-error", "message": message}
     assert run(argv) == (1, f"error [usage-error]: {message}\n")
     assert time.perf_counter() - start < 1.0
+
+
+def test_generated_degree_bit_set_at_the_limit_runs():
+    argv = ["fold", "--candidate", "prodsph:l=1000000,m=1000001", "--modulus", "3"]
+    code, doc = run_json(argv)
+    assert code == 0
+    assert doc["S"] == [2, 1, 1]
+    top = MAX_REDUCED_DEGREE
+    code, doc = run_json(["fold", "--candidate", f"prodsph:l=1,m={top - 1}", "--modulus", "2"])
+    assert code == 0
+    assert doc["S"] == [2, 2]
+
+
+@pytest.mark.parametrize("n", [MAX_SUPPORT_PAIRS, 100000000])
+def test_support_pairs_above_the_limit_are_a_usage_error(n):
+    argv = ["fold", "--candidate", f"cp:n={n}", "--modulus", "3"]
+    message = (
+        f"invalid-dimension: CP^{n} has {n + 1} support pairs, "
+        f"above the limit of {MAX_SUPPORT_PAIRS}"
+    )
+    start = time.perf_counter()
+    code, doc = run_json(argv)
+    assert code == 1
+    assert doc["error"] == {"cite": "usage-error", "message": message}
+    assert run(argv) == (1, f"error [usage-error]: {message}\n")
+    assert time.perf_counter() - start < 0.1
 
 
 def test_scan_keeps_the_row_above_the_generated_degree_limit():
@@ -632,12 +660,99 @@ def test_main_writes_stdout_and_returns_code(capsys):
     assert "identity holds: true" in captured.out
 
 
+# ------------------------------------------- inputs that used to raise from run
+
+NINES = "9" * 4300  # the longest int CPython parses; twice it has 4,301 digits
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["classes", "--euler", "1", "--level", "-1e5000"],
+            "the exponent of '-1e5000' is above the limit of 4096",
+        ),
+        (
+            ["classes", "--euler", "1", "--level", "-1e99999999999999"],
+            "the exponent of '-1e99999999999999' is above the limit of 4096",
+        ),
+        (
+            ["classes", "--euler", "1", "--level", f"-{NINES}"],
+            f"the numerator of '-{NINES}' has more than 4096 digits",
+        ),
+        (
+            ["classes", "--euler", "1", "--level", "-1e-4096"],
+            "the denominator of '-1e-4096' has more than 4096 digits",
+        ),
+        (
+            [
+                "fold",
+                "--candidate",
+                f"custom:betti=[1,{NINES},{NINES},1],gens=[1]",
+                "--modulus",
+                "3",
+            ],
+            "an entry of betti has more than 4096 digits",
+        ),
+        (
+            ["fold", "--candidate", "custom:betti=" + "[" * 3000 + "]" * 3000, "--modulus", "3"],
+            "betti must be a JSON list of integers",
+        ),
+    ],
+)
+def test_numbers_a_report_cannot_print_are_usage_errors(argv, message):
+    code, doc = run_json(argv)
+    assert code == 1
+    assert doc["error"] == {"cite": "usage-error", "message": message}
+    assert run(argv) == (1, f"error [usage-error]: {message}\n")
+
+
+def test_levels_within_the_digit_limit_run():
+    code, doc = run_json(["classes", "--euler", "1", "--level", "-1e-4095"])
+    assert code == 0
+    assert doc["level"] == {"num": -1, "den": 10**4095}
+    assert doc["K_W"] == {"num": 1, "den": 5 * 10**4094, "unit": "pi"}
+
+
+def test_help_is_returned_rather_than_printed(tmp_path):
+    code, out = run(["--help"])
+    assert code == 0
+    assert out.startswith("usage: lagcut [-h]")
+    code, out = run(["check", "torus", "-h"])
+    assert code == 0
+    assert out.startswith("usage: lagcut check torus [-h]")
+    path = write_batch(tmp_path, [{"command": "classes", "args": ["-h"]}])
+    assert run(["--batch", path]) == (
+        1,
+        "usage error: batch entry 0 asks for help, which has no report\n",
+    )
+
+
+def test_batch_files_json_cannot_read_are_usage_errors(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    assert run(["--batch", str(path)]) == (1, "usage error: batch file nests too deeply\n")
+    path.write_bytes(b"\xff\xfe[")
+    code, out = run(["--batch", str(path)])
+    assert code == 1
+    assert out.startswith("usage error: batch file is not valid JSON: 'utf-8' codec")
+    path.write_text(f"[{NINES}9]")
+    code, out = run(["--batch", str(path)])
+    assert code == 1
+    assert out.startswith("usage error: batch file is not valid JSON: Exceeds the limit")
+
+
 def test_module_entry_point():
+    # the child imports lagcut from where this process did, whether that is
+    # an install or src/ on the pytest path
+    src = str(Path(lagcut.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "lagcut.cli", "check", "lens", "--p", "7", "--n", "3",
          "--format", "json"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["constraints"] == {"m": [1]}

@@ -1,5 +1,7 @@
 """Tests for graded cohomology ring construction and validation."""
 
+import dataclasses
+import inspect
 import itertools
 import random
 import time
@@ -8,9 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lagcut import coring
 from lagcut.coring import (
     MAX_REDUCED_DEGREE,
+    MAX_SUPPORT_PAIRS,
     MAX_TORUS_DIM,
+    RING_MEMO_SIZE,
+    TORUS_MEMO_SIZE,
     CohomologyRing,
     InvalidRingError,
     _degree_semigroup,
@@ -322,12 +328,12 @@ def test_generated_degree_bit_set_is_bounded():
     top = MAX_REDUCED_DEGREE
     assert make_product_spheres(1, top - 1).support[-1] == (top, 1)
     assert make_product_spheres(10**20, 10**20).support[-1] == (2 * 10**20, 1)
+    # a product whose bit set is far above the CP^n support limit
+    assert make_product_spheres(10**6, 10**6 + 1).support[-1] == (2 * 10**6 + 1, 1)
     for make, reduced in [
         (lambda: make_product_spheres(1, top), top + 1),
         (lambda: make_product_spheres(1, 10**20), 10**20 + 1),
         (lambda: make_product_spheres(10**10, 10**10 + 1), 2 * 10**10 + 1),
-        (lambda: make_complex_projective(top + 1), top + 1),
-        (lambda: make_complex_projective(10**8), 10**8),
         (lambda: tensor(make_sphere(2 * top), make_sphere(3)), 2 * top + 3),
     ]:
         start = time.perf_counter()
@@ -338,6 +344,59 @@ def test_generated_degree_bit_set_is_bounded():
             f"invalid-dimension: top degree over the generator gcd is {reduced}, "
             f"above the limit of {top}"
         )
+
+
+def test_complex_projective_support_is_bounded():
+    n = MAX_SUPPORT_PAIRS - 1
+    ring = make_complex_projective(n)
+    assert len(ring.support) == MAX_SUPPORT_PAIRS
+    assert ring.support[-1] == (2 * n, 1)
+    del ring
+    for n in (MAX_SUPPORT_PAIRS, 10**8, 10**30):
+        start = time.perf_counter()
+        with pytest.raises(InvalidRingError) as info:
+            make_complex_projective(n)
+        assert time.perf_counter() - start < 0.1
+        assert str(info.value) == (
+            f"invalid-dimension: CP^{n} has {n + 1} support pairs, "
+            f"above the limit of {MAX_SUPPORT_PAIRS}"
+        )
+
+
+# ------------------------------------------------------------- ring memo
+
+MEMOS = [
+    (make_sphere, coring._sphere, RING_MEMO_SIZE, (7,)),
+    (make_torus, coring._torus, TORUS_MEMO_SIZE, (6,)),
+    (make_product_spheres, coring._product_spheres, RING_MEMO_SIZE, (2, 5)),
+]
+
+
+@pytest.mark.parametrize("make, memo, size, args", MEMOS)
+def test_ring_constructors_share_their_ring(make, memo, size, args):
+    # a plain function, so tracing that wraps module functions still sees it
+    assert inspect.isfunction(make)
+    assert memo.cache_parameters() == {"maxsize": size, "typed": True}
+    ring = make(*args)
+    assert make(*args) is ring
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ring.label = "changed"
+
+
+def test_ring_memo_keeps_bool_arguments_apart():
+    assert make_torus(True).label == "torus:d=True"
+    assert make_torus(1).label == "torus:d=1"
+    assert make_sphere(True).label == "sphere:d=True"
+    assert make_product_spheres(True, 2).label == "prodsph:l=True,m=2"
+    assert make_product_spheres(1, 2).label == "prodsph:l=1,m=2"
+
+
+def test_ring_memo_does_not_keep_errors():
+    for _ in range(2):
+        with pytest.raises(InvalidRingError, match="torus needs d >= 1"):
+            make_torus(0)
+        with pytest.raises(InvalidRingError, match="need 1 <= l <= m"):
+            make_product_spheres(3, 2)
 
 
 def test_poincare_duality_all_constructors():

@@ -6,13 +6,15 @@ import time
 
 import pytest
 
-from lagcut import obstruct
+from lagcut import coring, obstruct
 from lagcut.cli import run
-from lagcut.coring import make_sphere, make_torus
+from lagcut.coring import binomial_row, make_sphere, make_torus
 from lagcut.fold import fold_mod
 from lagcut.obstruct import (
     CONSTRAINED,
     INCONCLUSIVE,
+    MAX_DIVISOR_SEARCH,
+    MAX_FOLD_MODULUS,
     OBSTRUCTED,
     HypothesisViolation,
     _divisors,
@@ -330,6 +332,90 @@ def test_large_verdicts_match_the_linear_divisor_scan(monkeypatch, check, args):
     assert check(*args).to_json_dict() == verdict
 
 
+# ---------------------------------------------------------------- cost limits
+
+FOLD, SEARCH = MAX_FOLD_MODULUS, MAX_DIVISOR_SEARCH
+
+# family: (the parameters of a row at the limit, of the first row above it,
+# the limited quantity as the message names it, its value above the limit,
+# the limit).  2 N_e is even, so the first value above its limit is limit + 2.
+LIMITS = {
+    "torus": (
+        {"d": 1, "euler": FOLD // 2},
+        {"d": 1, "euler": FOLD // 2 + 1},
+        "2 N_e",
+        FOLD + 2,
+        FOLD,
+    ),
+    "prodsph": (
+        {"l": 1, "m": 2, "euler": FOLD // 2},
+        {"l": 1, "m": 2, "euler": FOLD // 2 + 1},
+        "2 N_e",
+        FOLD + 2,
+        FOLD,
+    ),
+    "sphere": (
+        {"d": 5, "euler": FOLD // 2, "grading": FOLD},
+        {"d": 5, "euler": FOLD + 1, "grading": FOLD + 1},
+        "grading N",
+        FOLD + 1,
+        FOLD,
+    ),
+    "lens": ({"p": SEARCH, "n": 3}, {"p": SEARCH + 1, "n": 3}, "p", SEARCH + 1, SEARCH),
+    "exact": ({"d": 4, "euler": SEARCH}, {"d": 4, "euler": SEARCH + 1}, "N_e", SEARCH + 1, SEARCH),
+}
+
+
+def limit_message(family):
+    _, _, name, value, limit = LIMITS[family]
+    return f"{name} = {value} is above the limit of {limit}"
+
+
+def test_cost_limits_admit_the_documented_inputs():
+    assert 2 * 720720 <= MAX_FOLD_MODULUS  # check_torus(64, 720720), prodsph(100, 200, 720720)
+    assert 8 <= MAX_FOLD_MODULUS  # check_sphere(10**7 + 1, 4, 8)
+    assert 10**7 + 19 <= MAX_DIVISOR_SEARCH  # check_lens(10**7 + 19, 3)
+    assert 720720 <= MAX_DIVISOR_SEARCH  # exact_verdict(2000, 720720)
+
+
+def cli_args(params):
+    return [t for name, value in params.items() for t in (f"--{name}", str(value))]
+
+
+@pytest.mark.parametrize("family", LIMITS)
+def test_cost_limits_admit_the_limit(family):
+    at = LIMITS[family][0]
+    verdict = obstruct.FAMILIES[family][1](at, False)
+    argv = ["check", family, *cli_args(at)]
+    code, out = run(argv + ["--format", "json"])
+    assert code == 0
+    assert json.loads(out) == verdict.to_json_dict()
+    code, out = run(argv)
+    assert code == 0
+    assert out.startswith(f"status: {verdict.status}\n")
+
+
+@pytest.mark.parametrize("family", LIMITS)
+def test_cost_limits_refuse_the_value_above_before_any_work(family):
+    above = LIMITS[family][1]
+    message = limit_message(family)
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as info:
+        obstruct.FAMILIES[family][1](above, False)
+    assert str(info.value) == message
+    argv = ["check", family, *cli_args(above)]
+    assert run(argv) == (1, f"error [usage-error]: {message}\n")
+    code, out = run(argv + ["--format", "json"])
+    assert code == 1
+    assert json.loads(out) == {"error": {"cite": "usage-error", "message": message}}
+    # a scan keeps the row, with the check's error
+    code, out = run(["scan", "--family", family, *cli_args(above), "--format", "json"])
+    assert code == 2
+    error = {"cite": "usage-error", "message": message}
+    assert json.loads(out)["rows"] == [{"params": above, "verdict": None, "error": error}]
+    assert time.perf_counter() - start < 0.2
+
+
 # --------------------------------------------------------------------- scan
 
 
@@ -363,6 +449,21 @@ def test_scan_mixed_rows():
 def test_scan_exact_family_carries_surjectivity():
     rows = scan("exact", {"d": [7], "euler": [6]}, use_surjectivity=True)
     assert rows[0].verdict.constraints["m"] == [1]
+
+
+def test_torus_scan_builds_each_distinct_ring_once(monkeypatch):
+    built = []
+
+    def counting_row(d):
+        built.append(d)
+        return binomial_row(d)
+
+    coring._torus.cache_clear()
+    monkeypatch.setattr(coring, "binomial_row", counting_row)
+    rows = scan("torus", {"d": range(3, 9), "euler": range(1, 25)})
+    assert len(rows) == 6 * 24
+    assert built == [3, 4, 5, 6, 7, 8]
+    coring._torus.cache_clear()
 
 
 def test_scan_validates_family_and_parameters():
