@@ -49,11 +49,12 @@ _SCAN_PARAMS = tuple(dict.fromkeys(p for params, _ in FAMILIES.values() for p in
 # largest being a 9,950-row lens scan, and is checked before allocating.
 MAX_LENGTH = 1 << 14
 
-# Upper bound on the decimal digits of a number the user writes that a
-# report computes with: the numerator and denominator of a rational level
-# (exponent included, checked before the literal is expanded) and each
-# entry of a custom ring's lists.  A report doubles a level and sums Betti
-# numbers, and CPython prints ints of at most 4,300 digits.
+# Upper bound on the decimal digits of every number the user writes: each
+# integer option, scan range end and candidate field, the numerator and
+# denominator of a rational level (exponent included, checked before the
+# literal is expanded) and each entry of a custom ring's lists.  Reports
+# double levels and print d + 2 or 2 N_e, and CPython prints ints of at
+# most 4,300 digits.
 MAX_DIGITS = 4096
 _DIGITS_BOUND = 10**MAX_DIGITS
 
@@ -204,6 +205,8 @@ def _range_bounds(text: str) -> tuple[int, int]:
         hi = int(hi_s) if sep else lo
     except ValueError as exc:
         raise ValueError(f"bad range {text!r}") from exc
+    for end in (lo, hi):
+        _check_digits(f"an end of range {text!r}", end)
     if hi < lo:
         raise ValueError(f"empty range {text!r}")
     return lo, hi
@@ -248,6 +251,9 @@ def _int_list(text: str, what: str) -> tuple[int, ...]:
         values = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{what} must be a JSON list of integers") from exc
+    except ValueError as exc:
+        # the only other error: an int literal longer than CPython converts
+        raise ValueError(f"an entry of {what} has more than {MAX_DIGITS} digits") from exc
     if not isinstance(values, list) or not all(
         isinstance(v, int) and not isinstance(v, bool) for v in values
     ):
@@ -283,9 +289,11 @@ def parse_candidate(spec: str) -> CohomologyRing:
     def need_int(key: str) -> int:
         raw = need(key)
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError as exc:
             raise ValueError(f"candidate field {key}={raw!r} is not an integer") from exc
+        _check_digits(f"candidate field {key}={raw!r}", value)
+        return value
 
     if kind == "sphere":
         return make_sphere(need_int("d"))
@@ -471,6 +479,10 @@ _DISPATCH = {
 
 def _execute(ns: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     try:
+        # the integer options, which argparse has already read
+        for name, value in vars(ns).items():
+            if type(value) is int:
+                _check_digits(f"--{name}", value)
         return _DISPATCH[ns.cmd](ns)
     except HypothesisViolation as exc:
         return 2, {"error": {"cite": exc.cite, "message": str(exc)}}

@@ -20,9 +20,15 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Any, Callable, Iterable, Mapping
 
-from .coring import make_complex_projective, make_product_spheres, make_torus
+from .coring import make_complex_projective, make_product_spheres, make_sphere, make_torus
 from .fold import fold_mod, is_two_periodic
-from .floer import oh_profiles, sphere_local_rule, ss_collapse_certificate
+from .floer import (
+    COHOMOLOGY_MINUS_ENDS,
+    EQUALS_COHOMOLOGY,
+    oh_profiles,
+    sphere_local_rule,
+    ss_collapse_certificate,
+)
 
 # Largest grading a check folds into: 2 N_e for check_torus and
 # check_product_spheres, which fold at every even divisor N of 2 N_e, and
@@ -34,9 +40,9 @@ from .floer import oh_profiles, sphere_local_rule, ss_collapse_certificate
 MAX_FOLD_MODULUS = 1 << 21
 
 # Largest number whose divisors a check enumerates in O(sqrt(n)) steps: p
-# in check_lens (which also tests p for primality the same way) and N_e in
-# exact_verdict.  At the prime 2^40 - 87 check_lens takes 0.2 s and
-# exact_verdict 0.08 s.
+# in check_lens (which reads primality off the same list) and N_e in
+# exact_verdict.  At the prime 2^40 - 87 each takes 0.08 s (CPython 3.11,
+# 2-core VM).
 MAX_DIVISOR_SEARCH = 1 << 40
 
 OBSTRUCTED = "Obstructed"
@@ -113,17 +119,6 @@ def _divisors(n: int) -> list[int]:
     return small + [n // k for k in reversed(small) if k * k != n]
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
-
-
 def _check_limit(name: str, value: int, limit: int) -> None:
     if value > limit:
         raise ValueError(f"{name} = {value} is above the limit of {limit}")
@@ -168,7 +163,8 @@ def check_simply_connected_in_cut(d: int, N_e: int, N: int) -> Verdict:
             f"HF is Z/{N}-graded and 2-periodic (mod-{N} Maslov class vanishes)",
         ),
     ]
-    if N >= d + 2:
+    # N_L >= N, so whenever the Maslov-range rule holds at N it holds at N_L
+    if oh_profiles(d, N) == (EQUALS_COHOMOLOGY,):
         trace.append(
             TraceStep(
                 CITE_OH_MASLOV_RANGE,
@@ -292,24 +288,23 @@ def check_sphere(d: int, N_e: int, N: int) -> Verdict:
         )
         return Verdict(INCONCLUSIVE, None, tuple(trace))
 
-    local = sphere_local_rule(d, N_e)
-    if local is not None:
+    if sphere_local_rule(d, N_e):
         trace.append(
             TraceStep(
                 CITE_SPHERE_LOCAL_FLOER,
                 f"2 N_W = {n_l} does not divide d + 1 = {d + 1}: HF = H^*",
             )
         )
-        # n_l does not divide d + 1 here, so n_l != d + 1 and a nonempty
-        # Maslov-range set is exactly {HF = H^*}
-        if oh_profiles(local.source, n_l):
+        # n_l does not divide d + 1 here, so n_l != d + 1 and the Maslov
+        # range gives (EQUALS_COHOMOLOGY,) or nothing
+        if oh_profiles(d, n_l):
             trace.append(
                 TraceStep(
                     CITE_OH_MASLOV_RANGE,
                     f"also forced by the Maslov range: N_L = {n_l} >= d + 2 = {d + 2}",
                 )
             )
-        profile = local.fold(N)
+        profile = fold_mod(make_sphere(d), N)
         periodic = is_two_periodic(profile)
         trace.append(
             TraceStep(
@@ -329,7 +324,7 @@ def check_sphere(d: int, N_e: int, N: int) -> Verdict:
             return Verdict(INCONCLUSIVE, None, tuple(trace))
         return Verdict(OBSTRUCTED, None, tuple(trace))
 
-    if n_l == d + 1:
+    if COHOMOLOGY_MINUS_ENDS in oh_profiles(d, n_l):
         trace.append(
             TraceStep(
                 CITE_OH_ADJACENT_RANGE,
@@ -377,12 +372,12 @@ def check_torus(d: int, N_e: int) -> Verdict:
         if N < 4:
             continue
         # always valid: degree-1 generators and N >= 4 make every target 2 - rN < 0
-        cert = ss_collapse_certificate(ring, N)
+        nu = ss_collapse_certificate(ring, N)
         trace.append(
             TraceStep(
                 CITE_COLLAPSE_CERTIFICATE,
                 f"N = {N}: all differential targets from degree-1 generators "
-                f"are empty (nu = {cert.nu}), so HF = H^*",
+                f"are empty (nu = {nu}), so HF = H^*",
             )
         )
         # For even N the even and odd binomial sums are each 2^(d-1), so
@@ -525,8 +520,9 @@ def check_lens(p: int, n: int) -> Verdict:
         raise ValueError("n must be >= 1")
     _check_limit("p", p, MAX_DIVISOR_SEARCH)
     d = 2 * n + 1
+    divisors = _divisors(p)
     # m divides p and 2m <= d + 2 = 2n + 3, that is m <= n + 1
-    admissible = [m for m in _divisors(p) if m <= n + 1]
+    admissible = [m for m in divisors if m <= n + 1]
     trace = [
         TraceStep(CITE_MASLOV_EXACT, f"dimension d = 2n + 1 = {d}, N_L = 2m"),
         TraceStep(CITE_INDEX_DIVISOR, f"m divides p = {p}"),
@@ -536,7 +532,8 @@ def check_lens(p: int, n: int) -> Verdict:
             f"2m = {d + 2} is odd and cannot be realised, so m <= n + 1 = {n + 1}",
         ),
     ]
-    if _is_prime(p) and p > n + 1:
+    # p >= 2 is prime exactly when its only divisors are 1 and p
+    if len(divisors) == 2 and p > n + 1:
         trace.append(
             TraceStep(
                 CITE_INDEX_PRIME,

@@ -663,6 +663,7 @@ def test_main_writes_stdout_and_returns_code(capsys):
 # ------------------------------------------- inputs that used to raise from run
 
 NINES = "9" * 4300  # the longest int CPython parses; twice it has 4,301 digits
+ABOVE = "1" + "0" * 4096  # the smallest int of 4,097 digits
 
 
 @pytest.mark.parametrize(
@@ -698,6 +699,37 @@ NINES = "9" * 4300  # the longest int CPython parses; twice it has 4,301 digits
             ["fold", "--candidate", "custom:betti=" + "[" * 3000 + "]" * 3000, "--modulus", "3"],
             "betti must be a JSON list of integers",
         ),
+        # every integer the command line reads is bounded at MAX_DIGITS, so
+        # none reaches CPython's 4,300-digit limit for printing an int
+        (["check", "exact", "--d", ABOVE, "--euler", "3"], "--d has more than 4096 digits"),
+        (["check", "lens", "--p", "7", "--n", NINES], "--n has more than 4096 digits"),
+        (
+            ["check", "sphere", "--d", "5", "--euler", ABOVE, "--grading", "4"],
+            "--euler has more than 4096 digits",
+        ),
+        (
+            ["check", "prodsph", "--l", "1", "--m", NINES, "--euler", "6"],
+            "--m has more than 4096 digits",
+        ),
+        (["check", "torus", "--d", "3", "--euler", ABOVE], "--euler has more than 4096 digits"),
+        (["classes", "--euler", ABOVE, "--level", "-1/2"], "--euler has more than 4096 digits"),
+        (["identity", "--d", "3", "--modulus", NINES], "--modulus has more than 4096 digits"),
+        (
+            ["scan", "--family", "lens", "--p", "7", "--n", f"1..{ABOVE}"],
+            f"an end of range '1..{ABOVE}' has more than 4096 digits",
+        ),
+        (
+            ["scan", "--family", "exact", "--d", NINES, "--euler", "3"],
+            f"an end of range '{NINES}' has more than 4096 digits",
+        ),
+        (
+            ["fold", "--candidate", f"sphere:d={NINES}", "--modulus", "3"],
+            f"candidate field d='{NINES}' has more than 4096 digits",
+        ),
+        (
+            ["fold", "--candidate", f"custom:betti=[1,{NINES}0,1]", "--modulus", "3"],
+            "an entry of betti has more than 4096 digits",
+        ),
     ],
 )
 def test_numbers_a_report_cannot_print_are_usage_errors(argv, message):
@@ -705,6 +737,32 @@ def test_numbers_a_report_cannot_print_are_usage_errors(argv, message):
     assert code == 1
     assert doc["error"] == {"cite": "usage-error", "message": message}
     assert run(argv) == (1, f"error [usage-error]: {message}\n")
+
+
+def test_integers_at_the_digit_limit_run():
+    at = "9" * 4096
+    code, doc = run_json(["check", "lens", "--p", "7", "--n", at])
+    assert code == 0
+    assert doc["constraints"] == {"m": [1, 7]}
+    code, doc = run_json(["scan", "--family", "exact", "--d", at, "--euler", "3"])
+    assert code == 0
+    assert doc["rows"][0]["verdict"]["constraints"]["m"] == [1, 3]
+
+
+def test_a_batch_entry_above_the_digit_limit_is_a_usage_error(tmp_path):
+    path = tmp_path / "batch.json"
+    entries = [
+        {"command": "check", "args": ["lens", "--p", "7", "--n", ABOVE]},
+        {"command": "check", "args": ["lens", "--p", "7", "--n", "3"]},
+    ]
+    path.write_text(json.dumps(entries))
+    code, out = run(["--batch", str(path)])
+    assert code == 1
+    reports = json.loads(out)
+    assert [r["exit"] for r in reports] == [1, 0]
+    assert reports[0]["report"] == {
+        "error": {"cite": "usage-error", "message": "--n has more than 4096 digits"}
+    }
 
 
 def test_levels_within_the_digit_limit_run():

@@ -29,7 +29,7 @@ from lagcut.coring import (
     make_torus,
     tensor,
 )
-from lagcut.floer import CollapseCertificate, PageCheck, ss_collapse_certificate
+from lagcut.floer import ss_collapse_certificate
 from lagcut.fold import fold_mod
 from oracles import brute_convolve, pascal_row
 
@@ -218,16 +218,13 @@ def dense_ring_error(betti, gens):
 
 
 def dense_certificate(betti, gens, N_L):
+    # nu, or None when some page-r target of a generator is occupied
     dim = len(betti) - 1
     nu = (dim + 1) // N_L
-    checks = []
-    for r in range(1, nu + 1):
-        for g in sorted(set(gens)):
-            target = g + 1 - r * N_L
-            checks.append(PageCheck(r, g, target, betti[target] if 0 <= target <= dim else 0))
-    if any(c.target_betti for c in checks):
+    targets = [g + 1 - r * N_L for r in range(1, nu + 1) for g in gens]
+    if any(betti[t] for t in targets if 0 <= t <= dim):
         return None
-    return CollapseCertificate(N_L=N_L, nu=nu, per_page=tuple(checks))
+    return nu
 
 
 @st.composite

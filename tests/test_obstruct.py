@@ -26,6 +26,7 @@ from lagcut.obstruct import (
     exact_verdict,
     scan,
 )
+from oracles import is_prime
 
 
 def cites(verdict):
@@ -290,6 +291,18 @@ def test_lens_prime_within_bound_not_forced():
     verdict = check_lens(3, 2)
     assert verdict.constraints == {"m": [1, 3]}
     assert "index-prime-forcing" not in cites(verdict)
+
+
+def test_lens_prime_forcing_agrees_with_trial_division():
+    for p in range(2, 3000):
+        forced = "index-prime-forcing" in cites(check_lens(p, 1))
+        assert forced == (is_prime(p) and p > 2), p
+
+
+def test_lens_prime_at_the_divisor_search_limit_forces_one():
+    verdict = check_lens(2**40 - 87, 3)
+    assert verdict.constraints == {"m": [1]}
+    assert "index-prime-forcing" in cites(verdict)
 
 
 def test_lens_validation():
