@@ -21,13 +21,13 @@ from lagcut.fold import (
 sphere = make_sphere(5)
 for N in (2, 4, 8):
     profile = fold_mod(sphere, N)
-    print("S^5 mod %d:" % N, profile.dims, "2-periodic:", is_two_periodic(profile))
+    print("S^5 mod %d:" % N, profile, "2-periodic:", is_two_periodic(profile))
 
 # The torus fold is a row of binomial class sums.  For d = 8 and N = 4
 # the four classes are not equal, so a grading of 4 is impossible.
 torus = make_torus(8)
 profile = fold_mod(torus, 4)
-print("T^8 mod 4:", profile.dims)
+print("T^8 mod 4:", profile)
 report = torus_identity_check(8, 4)
 print("equidistribution holds:", report.holds)
 print("N * S_0 = %d versus 2^d = %d" % (report.NS0, report.pow))
@@ -38,11 +38,11 @@ print("N * S_0 = %d versus 2^d = %d" % (report.NS0, report.pow))
 report = torus_identity_check(6, 4)
 print("d = 6, N = 4: N * S_0 = %d, 2^d = %d, holds: %s"
       % (report.NS0, report.pow, report.holds))
-print("T^6 mod 4:", fold_mod(make_torus(6), 4).dims)
+print("T^6 mod 4:", fold_mod(make_torus(6), 4))
 
 # Products of spheres fold like four-term binomial rows.
 prod = make_product_spheres(2, 4)
-print("S^2 x S^4 mod 8:", fold_mod(prod, 8).dims)
+print("S^2 x S^4 mod 8:", fold_mod(prod, 8))
 
 # Every class sum has a closed form as a roots-of-unity average.  The
 # residual below is the distance between the integer resummation and

@@ -427,8 +427,8 @@ def _cmd_fold(ns: argparse.Namespace) -> tuple[int, dict[str, Any]]:
         "candidate": ns.candidate,
         "label": ring.label,
         "modulus": ns.modulus,
-        "S": list(profile.dims),
-        "total": profile.total,
+        "S": list(profile),
+        "total": sum(profile),
         "two_periodic": is_two_periodic(profile),
     }
     return 0, doc
@@ -468,22 +468,13 @@ def _cmd_scan(ns: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     return code, {"family": ns.family, "rows": row_docs}
 
 
-_DISPATCH = {
-    "classes": _cmd_classes,
-    "identity": _cmd_identity,
-    "fold": _cmd_fold,
-    "check": _cmd_check,
-    "scan": _cmd_scan,
-}
-
-
 def _execute(ns: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     try:
         # the integer options, which argparse has already read
         for name, value in vars(ns).items():
             if type(value) is int:
                 _check_digits(f"--{name}", value)
-        return _DISPATCH[ns.cmd](ns)
+        return _COMMANDS[ns.cmd][0](ns)
     except HypothesisViolation as exc:
         return 2, {"error": {"cite": exc.cite, "message": str(exc)}}
     except NotMonotoneLevelError as exc:
@@ -499,26 +490,20 @@ def _text_error(doc: dict[str, Any]) -> str:
     return f"error [{err['cite']}]: {err['message']}\n"
 
 
+def _text_value(value: Any) -> str:
+    # a bool, a rational {num, den}, a multiple of pi {num, den, unit}, or
+    # an int or string printed as it is
+    if type(value) is bool:
+        return "true" if value else "false"
+    if type(value) is dict:
+        render = render_pi if "unit" in value else render_plain
+        return render(_fraction_of(value))
+    return str(value)
+
+
 def _text_classes(doc: dict[str, Any]) -> str:
-    pairs = [
-        ("euler", str(doc["euler"])),
-        ("dim", str(doc["dim"])),
-        ("level", render_plain(_fraction_of(doc["level"]))),
-        ("N_W", str(doc["N_W"])),
-        ("omega_W", render_pi(_fraction_of(doc["omega_W"]))),
-        ("K_W", render_pi(_fraction_of(doc["K_W"]))),
-        ("K_L", render_pi(_fraction_of(doc["K_L"]))),
-        ("N_V", str(doc["N_V"])),
-        ("pi2_rel", doc["pi2_rel"]),
-        ("pi1_total", doc["pi1_total"]),
-        ("monotone", "true" if doc["monotone"] else "false"),
-        ("monotone_constant", render_pi(_fraction_of(doc["monotone_constant"]))),
-        ("disc_area", render_pi(_fraction_of(doc["disc_area"]))),
-        ("reduced_omega", render_pi(_fraction_of(doc["reduced_omega"]))),
-        ("reduced_c1_real", render_plain(_fraction_of(doc["reduced_c1_real"]))),
-    ]
-    width = max(len(k) for k, _ in pairs)
-    return "".join(f"{k:<{width}}  {v}\n" for k, v in pairs)
+    width = max(len(k) for k in doc)
+    return "".join(f"{k:<{width}}  {_text_value(v)}\n" for k, v in doc.items())
 
 
 def _text_identity(doc: dict[str, Any]) -> str:
@@ -576,12 +561,13 @@ def _text_scan(doc: dict[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
-_TEXT = {
-    "classes": _text_classes,
-    "identity": _text_identity,
-    "fold": _text_fold,
-    "check": _text_verdict,
-    "scan": _text_scan,
+# each subcommand once: its report and its text renderer
+_COMMANDS = {
+    "classes": (_cmd_classes, _text_classes),
+    "identity": (_cmd_identity, _text_identity),
+    "fold": (_cmd_fold, _text_fold),
+    "check": (_cmd_check, _text_verdict),
+    "scan": (_cmd_scan, _text_scan),
 }
 
 
@@ -590,10 +576,14 @@ def _run_batch(path: str) -> tuple[int, str]:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
         return 1, f"usage error: cannot read batch file: {exc}\n"
-    except ValueError as exc:
-        # JSONDecodeError, and a file that is not text or holds an int of
-        # more digits than CPython converts
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         return 1, f"usage error: batch file is not valid JSON: {exc}\n"
+    except ValueError:
+        # the only other error: an int literal longer than CPython converts
+        return 1, (
+            "usage error: batch file holds a number too long to read; a batch "
+            "is a JSON array of {command, args} entries whose args are strings\n"
+        )
     except RecursionError:
         return 1, "usage error: batch file nests too deeply\n"
     if not isinstance(raw, list):
@@ -656,7 +646,7 @@ def run(argv: list[str]) -> tuple[int, str]:
         return code, canonical_json(doc)
     if "error" in doc:
         return code, _text_error(doc)
-    return code, _TEXT[ns.cmd](doc)
+    return code, _COMMANDS[ns.cmd][1](doc)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -19,26 +19,6 @@ class InvalidModulusError(ValueError):
 
 
 @dataclass(frozen=True)
-class FoldedProfile:
-    """Dimensions S_0..S_{N-1} of cohomology folded into a Z/N grading."""
-
-    modulus: int
-    dims: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise InvalidModulusError("invalid-modulus: N must be >= 1")
-        if len(self.dims) != self.modulus:
-            raise InvalidModulusError("profile must have exactly N entries")
-        if min(self.dims) < 0:
-            raise InvalidModulusError("folded dimensions must be nonnegative")
-
-    @property
-    def total(self) -> int:
-        return sum(self.dims)
-
-
-@dataclass(frozen=True)
 class TorusIdentityReport:
     """Outcome of the equidistribution identity N*S_j = 2^d for the torus.
 
@@ -51,35 +31,39 @@ class TorusIdentityReport:
     sums: tuple[int, ...]
 
 
-def _fold_pairs(pairs: Iterable[tuple[int, int]], N: int) -> FoldedProfile:
+def _fold_pairs(pairs: Iterable[tuple[int, int]], N: int) -> tuple[int, ...]:
     # S_j = sum of the dimensions b over the pairs (k, b) with k = j mod N
     if N < 1:
         raise InvalidModulusError("invalid-modulus: N must be >= 1")
     out = [0] * N
     for k, b in pairs:
         out[k % N] += b
-    return FoldedProfile(N, tuple(out))
+    return tuple(out)
 
 
-def fold_dims(dims: Sequence[int], N: int) -> FoldedProfile:
+def fold_dims(dims: Sequence[int], N: int) -> tuple[int, ...]:
     """Fold a raw graded dimension vector: S_j = sum of dims[k] over k = j mod N."""
-    return _fold_pairs(enumerate(dims), N)
+    folded = _fold_pairs(enumerate(dims), N)
+    # ring supports and binomials are nonnegative already; a raw vector is not
+    if min(folded) < 0:
+        raise InvalidModulusError("folded dimensions must be nonnegative")
+    return folded
 
 
-def fold_mod(ring: CohomologyRing, N: int) -> FoldedProfile:
-    """Fold the Betti numbers of a ring into the Z/N grading."""
+def fold_mod(ring: CohomologyRing, N: int) -> tuple[int, ...]:
+    """Fold the Betti numbers of a ring into the Z/N grading: S_0..S_{N-1}."""
     return _fold_pairs(ring.support, N)
 
 
-def is_two_periodic(p: FoldedProfile) -> bool:
-    """True iff shifting the graded dimensions by 2 leaves them unchanged."""
-    N = p.modulus
-    return all(p.dims[j] == p.dims[(j + 2) % N] for j in range(N))
+def is_two_periodic(dims: Sequence[int]) -> bool:
+    """True iff shifting the folded dimensions by 2 leaves them unchanged."""
+    N = len(dims)
+    return all(dims[j] == dims[(j + 2) % N] for j in range(N))
 
 
 def binomial_fold_sums(d: int, N: int) -> tuple[int, ...]:
     """Exact S_0(d, N), ..., S_{N-1}(d, N), where S_j sums C(d, j + k*N) over k."""
-    return _fold_pairs(enumerate(binomial_row(d)), N).dims
+    return _fold_pairs(enumerate(binomial_row(d)), N)
 
 
 def torus_identity_check(d: int, N: int) -> TorusIdentityReport:
@@ -119,15 +103,14 @@ def roots_of_unity_residual(d: int, N: int) -> float:
     return abs(left / (1 << d) - trig)
 
 
-def cp_profile_match(p: FoldedProfile, d: int) -> bool:
-    """True iff p is the fold of the complex projective space of dimension d.
+def cp_profile_match(dims: tuple[int, ...], d: int) -> bool:
+    """True iff dims is the fold of the complex projective space of dimension d.
 
     The reference profile is CP^(d/2) folded modulo d+2, the shape forced
     on simply connected candidates at the boundary grading.
     """
     if d % 2 != 0 or d < 2:
         raise ValueError("d must be a positive even integer")
-    if p.modulus != d + 2:
+    if len(dims) != d + 2:
         raise InvalidModulusError("profile modulus must equal d + 2")
-    reference = fold_mod(make_complex_projective(d // 2), d + 2)
-    return p.dims == reference.dims
+    return dims == fold_mod(make_complex_projective(d // 2), d + 2)

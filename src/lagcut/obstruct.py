@@ -309,7 +309,7 @@ def check_sphere(d: int, N_e: int, N: int) -> Verdict:
         trace.append(
             TraceStep(
                 CITE_FOLD_PERIODICITY,
-                f"S = {profile.dims}: 2-periodic = {periodic}"
+                f"S = {profile}: 2-periodic = {periodic}"
                 + ("" if periodic else ", contradiction"),
             )
         )
@@ -383,7 +383,7 @@ def check_torus(d: int, N_e: int) -> Verdict:
         # For even N the even and odd binomial sums are each 2^(d-1), so
         # the fold is 2-periodic exactly when it equidistributes.
         profile = fold_mod(ring, N)
-        ns0 = N * profile.dims[0]
+        ns0 = N * profile[0]
         if is_two_periodic(profile):
             retained.append(N)
             trace.append(
@@ -397,7 +397,7 @@ def check_torus(d: int, N_e: int) -> Verdict:
             trace.append(
                 TraceStep(
                     CITE_FOLD_PERIODICITY,
-                    f"N = {N}: S = {profile.dims} is not equidistributed "
+                    f"N = {N}: S = {profile} is not equidistributed "
                     f"(N*S_0 = {ns0}, 2^d = {1 << d}): excluded",
                 )
             )
@@ -458,7 +458,7 @@ def check_product_spheres(l: int, m: int, N_e: int) -> Verdict:
             trace.append(
                 TraceStep(
                     CITE_FOLD_PERIODICITY,
-                    f"N = {N}: S = {profile.dims} is not 2-periodic: excluded",
+                    f"N = {N}: S = {profile} is not 2-periodic: excluded",
                 )
             )
             continue
@@ -467,7 +467,7 @@ def check_product_spheres(l: int, m: int, N_e: int) -> Verdict:
             trace.append(
                 TraceStep(
                     CITE_EXCEPTIONAL_RETAINED,
-                    f"N = {N}: S = {profile.dims} is 2-periodic; the "
+                    f"N = {N}: S = {profile} is 2-periodic; the "
                     f"exceptional shape (l, m) = ({l}, {m}) is retained at "
                     "the boundary grading",
                 )
@@ -478,7 +478,7 @@ def check_product_spheres(l: int, m: int, N_e: int) -> Verdict:
             trace.append(
                 TraceStep(
                     CITE_FOLD_DISCREPANCY,
-                    f"N = {N}: DISCREPANCY: S = {profile.dims} is 2-periodic "
+                    f"N = {N}: DISCREPANCY: S = {profile} is 2-periodic "
                     "although the equal-factor case is asserted obstructed; "
                     "the raw fold is reported and the conflict flagged",
                 )
@@ -489,7 +489,7 @@ def check_product_spheres(l: int, m: int, N_e: int) -> Verdict:
             trace.append(
                 TraceStep(
                     CITE_FOLD_DISCREPANCY,
-                    f"N = {N}: DISCREPANCY: S = {profile.dims} is 2-periodic "
+                    f"N = {N}: DISCREPANCY: S = {profile} is 2-periodic "
                     f"yet the bound N <= {bound} excludes this grading; the "
                     "bound is applied and the conflict flagged",
                 )
@@ -580,6 +580,9 @@ def scan(
         if p not in ranges:
             raise ValueError(f"family {family!r} needs a range for {p!r}")
     unknown = set(ranges) - set(order)
+    # only exact_verdict reads the surjectivity flag
+    if use_surjectivity and family != "exact":
+        unknown.add("surjectivity")
     if unknown:
         raise ValueError(f"family {family!r} does not take {sorted(unknown)}")
     axes = [sorted(set(ranges[p])) for p in order if p in ranges]

@@ -363,6 +363,22 @@ def test_scan_usage_errors():
     assert code == 1
 
 
+def test_scan_takes_surjectivity_only_for_the_exact_family():
+    argv = ["scan", "--family", "torus", "--d", "2", "--euler", "1", "--surjectivity"]
+    message = "family 'torus' does not take ['surjectivity']"
+    assert run(argv) == (1, f"error [usage-error]: {message}\n")
+    code, doc = run_json(argv)
+    assert code == 1
+    assert doc["error"] == {"cite": "usage-error", "message": message}
+    code, doc = run_json(
+        ["scan", "--family", "exact", "--d", "7", "--euler", "6", "--surjectivity"]
+    )
+    assert code == 0
+    _, check = run_json(["check", "exact", "--d", "7", "--euler", "6", "--surjectivity"])
+    assert check["constraints"]["m"] == [1]
+    assert doc["rows"] == [{"params": {"d": 7, "euler": 6}, "verdict": check, "error": None}]
+
+
 def test_scan_json_roundtrip():
     _, out = run(
         ["scan", "--family", "exact", "--d", "6..8", "--euler", "4", "--format", "json"]
@@ -794,10 +810,17 @@ def test_batch_files_json_cannot_read_are_usage_errors(tmp_path):
     code, out = run(["--batch", str(path)])
     assert code == 1
     assert out.startswith("usage error: batch file is not valid JSON: 'utf-8' codec")
+    # json.dump cannot write an int CPython will not read back, so these
+    # files are written as text
+    too_long = (
+        1,
+        "usage error: batch file holds a number too long to read; a batch is a "
+        "JSON array of {command, args} entries whose args are strings\n",
+    )
     path.write_text(f"[{NINES}9]")
-    code, out = run(["--batch", str(path)])
-    assert code == 1
-    assert out.startswith("usage error: batch file is not valid JSON: Exceeds the limit")
+    assert run(["--batch", str(path)]) == too_long
+    path.write_text('[{"command": "fold", "args": [' + "9" * 4400 + "]}]")
+    assert run(["--batch", str(path)]) == too_long
 
 
 def test_module_entry_point():

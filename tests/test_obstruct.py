@@ -87,7 +87,7 @@ def test_sphere_obstructed_records_failing_fold():
     last = verdict.trace[-1]
     assert last.cite == "fold-two-periodicity"
     # the trace must reproduce the profile that failed
-    assert str(fold_mod(make_sphere(5), 8).dims) in last.detail
+    assert str(fold_mod(make_sphere(5), 8)) in last.detail
     assert "sphere-local-floer" in cites(verdict)
 
 
@@ -133,7 +133,7 @@ def test_sphere_cost_does_not_grow_with_the_dimension():
     d = 10**7 + 1
     start = time.perf_counter()
     assert make_sphere(d).support == ((0, 1), (d, 1))
-    assert fold_mod(make_sphere(d), 8).dims == (1, 1, 0, 0, 0, 0, 0, 0)
+    assert fold_mod(make_sphere(d), 8) == (1, 1, 0, 0, 0, 0, 0, 0)
     verdict = check_sphere(d, 4, 8)
     assert verdict.status == OBSTRUCTED
     assert "S = (1, 1, 0, 0, 0, 0, 0, 0)" in verdict.trace[-1].detail
@@ -486,6 +486,8 @@ def test_scan_validates_family_and_parameters():
         scan("lens", {"p": [2]})  # missing n
     with pytest.raises(ValueError):
         scan("lens", {"p": [2], "n": [1], "euler": [1]})
+    with pytest.raises(ValueError, match=r"family 'torus' does not take \['surjectivity'\]"):
+        scan("torus", {"d": [2], "euler": [1]}, use_surjectivity=True)
 
 
 def test_verdict_json_dict_shape():
