@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .charnum import (
     CircleBundle,
@@ -38,10 +38,10 @@ from .coring import (
     make_torus,
 )
 from .fold import fold_mod, is_two_periodic, roots_of_unity_residual, torus_identity_check
-from .obstruct import FAMILIES, HypothesisViolation, scan
+from .obstruct import FAMILIES, HypothesisViolation, ScanRow, TraceStep, Verdict, scan
 
 # every family parameter, first-seen order, so argparse messages keep it
-_SCAN_PARAMS = tuple(dict.fromkeys(p for params, _ in FAMILIES.values() for p in params))
+_SCAN_PARAMS = tuple(dict.fromkeys(p for params, *_ in FAMILIES.values() for p in params))
 
 # Upper bound on a length the user sets: the --modulus of fold and identity
 # (one entry or binomial sum per residue) and the number of points in a scan
@@ -109,6 +109,9 @@ def _render(doc: Any, pad: str) -> str:
         scalar = _SCALARS.get(kind)
         if scalar is not None:
             return scalar(doc)
+        result = _RESULTS.get(kind)
+        if result is not None:
+            return result(doc, pad)
         kind = next((base for base in _BASES if isinstance(doc, base)), None)
         if kind is None:
             raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
@@ -137,10 +140,62 @@ def _render(doc: Any, pad: str) -> str:
     return f"{brackets[0]}\n{inner}{sep.join(parts)}\n{pad}{brackets[1]}"
 
 
+def _render_steps(trace: Iterable[TraceStep], pad: str) -> str:
+    # trace steps as {"cite", "detail"} at pad, each one f-string, joined as
+    # a list's items are
+    inner, enc = pad + "  ", encode_basestring_ascii
+    return f",\n{pad}".join(
+        [f'{{\n{inner}"cite": {enc(s.cite)},\n{inner}"detail": {enc(s.detail)}\n{pad}}}' for s in trace]
+    )
+
+
+def _render_verdict(verdict: Verdict, pad: str) -> str:
+    # Verdict.to_json_dict()'s keys in sorted order; the constraints take
+    # the generic path
+    inner = pad + "  "
+    constraints = verdict.constraints
+    if constraints is None:
+        constraints = "null"
+    else:
+        # a mapping renders as the dict that to_json_dict() copies it into
+        constraints = _render(constraints if type(constraints) is dict else dict(constraints), inner)
+    head = (
+        f'{{\n{inner}"constraints": {constraints},\n'
+        f'{inner}"status": {encode_basestring_ascii(verdict.status)},\n{inner}"trace": '
+    )
+    if not verdict.trace:
+        return f"{head}[]\n{pad}}}"
+    step = inner + "  "
+    steps = _render_steps(verdict.trace, step)
+    return f"{head}[\n{step}{steps}\n{inner}]\n{pad}}}"
+
+
+def _render_row(row: ScanRow, pad: str) -> str:
+    # the row as {"error", "params", "verdict"}, its verdict as above
+    inner = pad + "  "
+    error = "null" if row.error is None else _render(row.error, inner)
+    verdict = "null" if row.verdict is None else _render_verdict(row.verdict, inner)
+    return (
+        f'{{\n{inner}"error": {error},\n'
+        f'{inner}"params": {_render(row.params, inner)},\n'
+        f'{inner}"verdict": {verdict}\n{pad}}}'
+    )
+
+
+# the result types whose fields are their JSON keys
+_RESULTS: dict[type, Callable[[Any, str], str]] = {
+    TraceStep: lambda step, pad: _render_steps((step,), pad),
+    Verdict: _render_verdict,
+    ScanRow: _render_row,
+}
+
+
 def canonical_json(doc: Any) -> str:
     """Exactly json.dumps(doc, indent=2, sort_keys=True) plus a newline.
 
-    Dict keys must be strings, which every document here has.
+    Dict keys must be strings, which every document here has.  A TraceStep,
+    Verdict or ScanRow renders as the dict of its fields (a Verdict as its
+    to_json_dict()) without building that dict.
     """
     return _render(doc, "") + "\n"
 
@@ -354,11 +409,11 @@ def _build_parser() -> _Parser:
     check = sub.add_parser("check", help="run one verdict pipeline")
     targets = check.add_subparsers(dest="target", required=True)
 
-    for family, (params, _) in FAMILIES.items():
+    for family, (params, _, takes_surjectivity) in FAMILIES.items():
         target = targets.add_parser(family)
         for name in params:
             target.add_argument(f"--{name}", type=int, required=True)
-        if family == "exact":
+        if takes_surjectivity:
             target.add_argument("--surjectivity", action="store_true")
         _add_format(target)
 
@@ -434,10 +489,9 @@ def _cmd_fold(ns: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     return 0, doc
 
 
-def _cmd_check(ns: argparse.Namespace) -> tuple[int, dict[str, Any]]:
-    params, check = FAMILIES[ns.target]
-    verdict = check({p: getattr(ns, p) for p in params}, getattr(ns, "surjectivity", False))
-    return 0, verdict.to_json_dict()
+def _cmd_check(ns: argparse.Namespace) -> tuple[int, Verdict]:
+    params, check, _ = FAMILIES[ns.target]
+    return 0, check({p: getattr(ns, p) for p in params}, getattr(ns, "surjectivity", False))
 
 
 def _cmd_scan(ns: argparse.Namespace) -> tuple[int, dict[str, Any]]:
@@ -453,22 +507,12 @@ def _cmd_scan(ns: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     _check_length("scan grid size", points)
     ranges = {name: range(lo, hi + 1) for name, (lo, hi) in bounds.items()}
     rows = scan(ns.family, ranges, use_surjectivity=ns.surjectivity)
-    code = 0
-    row_docs = []
-    for row in rows:
-        if row.error is not None:
-            code = 2
-        row_docs.append(
-            {
-                "params": row.params,
-                "verdict": row.verdict.to_json_dict() if row.verdict else None,
-                "error": row.error,
-            }
-        )
-    return code, {"family": ns.family, "rows": row_docs}
+    code = 2 if any(row.error is not None for row in rows) else 0
+    # the ScanRow objects themselves: canonical_json and _text_scan read them
+    return code, {"family": ns.family, "rows": rows}
 
 
-def _execute(ns: argparse.Namespace) -> tuple[int, dict[str, Any]]:
+def _execute(ns: argparse.Namespace) -> tuple[int, Any]:
     try:
         # the integer options, which argparse has already read
         for name, value in vars(ns).items():
@@ -527,9 +571,9 @@ def _text_fold(doc: dict[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _text_verdict(doc: dict[str, Any]) -> str:
-    lines = [f"status: {doc['status']}"]
-    constraints = doc["constraints"]
+def _text_verdict(verdict: Verdict) -> str:
+    lines = [f"status: {verdict.status}"]
+    constraints = verdict.constraints
     if constraints is None:
         lines.append("constraints: none")
     else:
@@ -537,8 +581,8 @@ def _text_verdict(doc: dict[str, Any]) -> str:
         for key in sorted(constraints):
             lines.append(f"  {key} = {json.dumps(constraints[key], sort_keys=True)}")
     lines.append("trace:")
-    for step in doc["trace"]:
-        lines.append(f"  [{step['cite']}] {step['detail']}")
+    for step in verdict.trace:
+        lines.append(f"  [{step.cite}] {step.detail}")
     return "\n".join(lines) + "\n"
 
 
@@ -546,16 +590,16 @@ def _text_scan(doc: dict[str, Any]) -> str:
     lines = [f"family: {doc['family']}"]
     errors = 0
     for row in doc["rows"]:
-        head = " ".join(f"{k}={v}" for k, v in row["params"].items())
-        if row["error"] is not None:
+        head = " ".join(f"{k}={v}" for k, v in row.params.items())
+        if row.error is not None:
             errors += 1
-            err = row["error"]
+            err = row.error
             lines.append(f"{head} :: error [{err['cite']}] {err['message']}")
         else:
-            verdict = row["verdict"]
-            tail = verdict["status"]
-            if verdict["constraints"] is not None:
-                tail += " " + json.dumps(verdict["constraints"], sort_keys=True)
+            verdict = row.verdict
+            tail = verdict.status
+            if verdict.constraints is not None:
+                tail += " " + json.dumps(verdict.constraints, sort_keys=True)
             lines.append(f"{head} :: {tail}")
     lines.append(f"rows: {len(doc['rows'])}  errors: {errors}")
     return "\n".join(lines) + "\n"
@@ -644,7 +688,8 @@ def run(argv: list[str]) -> tuple[int, str]:
     code, doc = _execute(ns)
     if ns.format == "json":
         return code, canonical_json(doc)
-    if "error" in doc:
+    # a check answers with its Verdict, every other report is a dict
+    if type(doc) is dict and "error" in doc:
         return code, _text_error(doc)
     return code, _COMMANDS[ns.cmd][1](doc)
 

@@ -8,9 +8,9 @@ Statuses never include "unobstructed": the machinery can rule embeddings
 out or constrain them, but it cannot certify that one exists.
 
 `FAMILIES` registers each candidate family once: its parameter names in
-scan order, and a call of its check taking the parameters as a dict plus
-the surjectivity flag.  `scan` and the command line's `check` and `scan`
-subcommands are all built from it.
+scan order, a call of its check taking the parameters as a dict plus the
+surjectivity flag, and whether the family takes that flag.  `scan` and the
+command line's `check` and `scan` subcommands are all built from it.
 """
 
 from __future__ import annotations
@@ -544,20 +544,22 @@ def check_lens(p: int, n: int) -> Verdict:
     return Verdict(CONSTRAINED, {"m": admissible}, tuple(trace))
 
 
-FAMILIES: dict[str, tuple[tuple[str, ...], Callable[[dict[str, int], bool], Verdict]]] = {
+FAMILIES: dict[str, tuple[tuple[str, ...], Callable[[dict[str, int], bool], Verdict], bool]] = {
     # The checks are looked up as module globals on each call, so a
     # rebinding of obstruct.check_* reaches scan and the command line.
     "sphere": (
         ("d", "euler", "grading"),
         lambda p, s: check_sphere(p["d"], p["euler"], p["grading"]),
+        False,
     ),
-    "torus": (("d", "euler"), lambda p, s: check_torus(p["d"], p["euler"])),
+    "torus": (("d", "euler"), lambda p, s: check_torus(p["d"], p["euler"]), False),
     "prodsph": (
         ("l", "m", "euler"),
         lambda p, s: check_product_spheres(p["l"], p["m"], p["euler"]),
+        False,
     ),
-    "lens": (("p", "n"), lambda p, s: check_lens(p["p"], p["n"])),
-    "exact": (("d", "euler"), lambda p, s: exact_verdict(p["d"], p["euler"], s)),
+    "lens": (("p", "n"), lambda p, s: check_lens(p["p"], p["n"]), False),
+    "exact": (("d", "euler"), lambda p, s: exact_verdict(p["d"], p["euler"], s), True),
 }
 
 
@@ -574,14 +576,13 @@ def scan(
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    order, check = FAMILIES[family]
+    order, check, takes_surjectivity = FAMILIES[family]
     required = [p for p in order if p != "grading"]
     for p in required:
         if p not in ranges:
             raise ValueError(f"family {family!r} needs a range for {p!r}")
     unknown = set(ranges) - set(order)
-    # only exact_verdict reads the surjectivity flag
-    if use_surjectivity and family != "exact":
+    if use_surjectivity and not takes_surjectivity:
         unknown.add("surjectivity")
     if unknown:
         raise ValueError(f"family {family!r} does not take {sorted(unknown)}")

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from lagcut.cli import (
     run,
 )
 from lagcut.coring import MAX_REDUCED_DEGREE, MAX_SUPPORT_PAIRS, MAX_TORUS_DIM
+from lagcut.obstruct import FAMILIES, ScanRow, TraceStep, Verdict, exact_verdict, scan
 
 
 def run_json(argv):
@@ -85,6 +87,65 @@ def test_canonical_json_renders_subclasses_as_json_does():
 
     doc = collections.OrderedDict(z=Rows([Level.LOW, Name("x"), Ratio(0.5)]), a=Rows())
     assert canonical_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def as_tree(doc):
+    """The dict form of a document: each TraceStep as {cite, detail}, each
+    Verdict as its to_json_dict() and each ScanRow as {params, verdict, error}."""
+    if isinstance(doc, TraceStep):
+        return {"cite": doc.cite, "detail": doc.detail}
+    if isinstance(doc, Verdict):
+        return doc.to_json_dict()
+    if isinstance(doc, ScanRow):
+        verdict = None if doc.verdict is None else doc.verdict.to_json_dict()
+        return {"params": doc.params, "verdict": verdict, "error": doc.error}
+    if isinstance(doc, dict):
+        return {k: as_tree(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [as_tree(v) for v in doc]
+    return doc
+
+
+def tree_json(doc):
+    return json.dumps(as_tree(doc), indent=2, sort_keys=True) + "\n"
+
+
+# non-ASCII text, control characters, quotes and backslashes
+trace_text = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7fé \U0001f600'))
+)
+constraint_maps = st.one_of(
+    st.none(),
+    st.just({}),
+    st.dictionaries(st.text(max_size=6), json_documents, max_size=4),
+    st.dictionaries(st.text(max_size=6), json_documents, max_size=2).map(types.MappingProxyType),
+)
+trace_steps = st.builds(TraceStep, trace_text, trace_text)
+verdicts = st.builds(
+    Verdict,
+    status=st.one_of(st.sampled_from(["Obstructed", "Constrained", "Inconclusive"]), trace_text),
+    constraints=constraint_maps,
+    trace=st.lists(trace_steps, max_size=4).map(tuple),
+)
+row_params = st.dictionaries(
+    st.sampled_from(["d", "euler", "grading", "l", "m", "p", "n"]), st.integers(), max_size=3
+)
+scan_rows = st.one_of(
+    st.builds(ScanRow, row_params, verdicts, st.none()),
+    st.builds(
+        ScanRow,
+        row_params,
+        st.none(),
+        st.fixed_dictionaries({"cite": trace_text, "message": trace_text}),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(trace_steps, verdicts, scan_rows, st.lists(scan_rows, max_size=3))
+def test_canonical_json_renders_results_as_their_dict_form(step, verdict, row, rows):
+    for doc in (step, verdict, row, {"family": "sphere", "rows": rows}, [{"report": verdict}]):
+        assert canonical_json(doc) == tree_json(doc)
 
 
 @pytest.mark.parametrize("value", [{1, 2}, Fraction(1, 2), object(), b"bytes"])
@@ -379,11 +440,111 @@ def test_scan_takes_surjectivity_only_for_the_exact_family():
     assert doc["rows"] == [{"params": {"d": 7, "euler": 6}, "verdict": check, "error": None}]
 
 
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_families_registry_says_which_take_surjectivity(family):
+    # check's flag and scan's refusal both follow the FAMILIES entry
+    names, _, takes_surjectivity = FAMILIES[family]
+    assert ("--surjectivity" in run(["check", family, "--help"])[1]) is takes_surjectivity
+    argv = ["scan", "--family", family] + [arg for n in names for arg in (f"--{n}", "2")]
+    code, out = run(argv + ["--surjectivity"])
+    refused = f"error [usage-error]: family {family!r} does not take ['surjectivity']\n"
+    assert (code, out == refused) == ((0, False) if takes_surjectivity else (1, True))
+
+
 def test_scan_json_roundtrip():
     _, out = run(
         ["scan", "--family", "exact", "--d", "6..8", "--euler", "4", "--format", "json"]
     )
     assert_roundtrip(out)
+
+
+# ------------------------------------------------------ rendered verdicts
+# check and scan render their result objects directly; each output must be
+# what the dict tree from to_json_dict() renders to, in JSON and in text
+
+
+def verdict_text(doc):
+    lines = [f"status: {doc['status']}"]
+    if doc["constraints"] is None:
+        lines.append("constraints: none")
+    else:
+        lines.append("constraints:")
+        for key, value in sorted(doc["constraints"].items()):
+            lines.append(f"  {key} = {json.dumps(value, sort_keys=True)}")
+    lines.append("trace:")
+    lines += [f"  [{step['cite']}] {step['detail']}" for step in doc["trace"]]
+    return "\n".join(lines) + "\n"
+
+
+def scan_text(doc):
+    lines = [f"family: {doc['family']}"]
+    for row in doc["rows"]:
+        head = " ".join(f"{k}={v}" for k, v in row["params"].items())
+        if row["error"] is not None:
+            lines.append(f"{head} :: error [{row['error']['cite']}] {row['error']['message']}")
+        elif row["verdict"]["constraints"] is None:
+            lines.append(f"{head} :: {row['verdict']['status']}")
+        else:
+            constraints = json.dumps(row["verdict"]["constraints"], sort_keys=True)
+            lines.append(f"{head} :: {row['verdict']['status']} {constraints}")
+    errors = sum(row["error"] is not None for row in doc["rows"])
+    lines.append(f"rows: {len(doc['rows'])}  errors: {errors}")
+    return "\n".join(lines) + "\n"
+
+
+# family, a check's parameters, --surjectivity, and scan ranges that hold
+# both verdict rows and rows outside the domain or hypotheses
+FAMILY_OUTPUTS = [
+    ("sphere", {"d": 5, "euler": 4, "grading": 8}, False, {"d": "2..6", "euler": "1..3", "grading": "2..3"}),
+    ("torus", {"d": 6, "euler": 2}, False, {"d": "0..4", "euler": "1..3"}),
+    ("prodsph", {"l": 2, "m": 4, "euler": 8}, False, {"l": "1..4", "m": "2..3", "euler": "1..2"}),
+    ("lens", {"p": 7, "n": 3}, False, {"p": "0..7", "n": "1..2"}),
+    ("exact", {"d": 7, "euler": 6}, True, {"d": "0..5", "euler": "1..3"}),
+]
+
+
+def family_argv(params, surjectivity):
+    argv = [token for name, value in params.items() for token in (f"--{name}", str(value))]
+    return argv + ["--surjectivity"] if surjectivity else argv
+
+
+@pytest.mark.parametrize("family,params,surjectivity,ranges", FAMILY_OUTPUTS)
+def test_check_output_is_the_rendered_verdict_dict(family, params, surjectivity, ranges):
+    tree = FAMILIES[family][1](params, surjectivity).to_json_dict()
+    argv = ["check", family] + family_argv(params, surjectivity)
+    assert run(argv + ["--format", "json"]) == (0, json.dumps(tree, indent=2, sort_keys=True) + "\n")
+    assert run(argv) == (0, verdict_text(tree))
+
+
+@pytest.mark.parametrize("family,params,surjectivity,ranges", FAMILY_OUTPUTS)
+def test_scan_output_is_the_rendered_row_dicts(family, params, surjectivity, ranges):
+    rows = scan(family, {k: parse_range(v) for k, v in ranges.items()}, surjectivity)
+    assert {row.error is None for row in rows} == {True, False}
+    tree = as_tree({"family": family, "rows": rows})
+    argv = ["scan", "--family", family] + family_argv(ranges, surjectivity)
+    assert run(argv + ["--format", "json"]) == (2, json.dumps(tree, indent=2, sort_keys=True) + "\n")
+    assert run(argv) == (2, scan_text(tree))
+
+
+def test_batch_output_is_the_rendered_report_dicts(tmp_path):
+    _, params, _, ranges = FAMILY_OUTPUTS[-1]
+    check_args = ["exact"] + family_argv(params, True)
+    scan_args = ["--family", "exact"] + family_argv(ranges, True)
+    entries = [
+        {"command": "check", "args": check_args},
+        {"command": "scan", "args": scan_args},
+    ]
+    tree = [
+        {"command": "check", "args": check_args, "exit": 0, "report": exact_verdict(7, 6, True)},
+        {
+            "command": "scan",
+            "args": scan_args,
+            "exit": 2,
+            "report": {"family": "exact", "rows": scan("exact", {"d": range(0, 6), "euler": range(1, 4)}, True)},
+        },
+    ]
+    expected = json.dumps(as_tree(tree), indent=2, sort_keys=True) + "\n"
+    assert run(["--batch", write_batch(tmp_path, entries)]) == (2, expected)
 
 
 # ------------------------------------------------------------ length limits
