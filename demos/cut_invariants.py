@@ -16,7 +16,6 @@ from lagcut.charnum import (
     maslov_torsion_constraint,
     maslov_zero_section,
     pi1_total,
-    semifree_monotonicity_cases,
 )
 
 # Step 1: fix the bundle.  total_dim is the dimension of the total
@@ -60,9 +59,3 @@ print("torsion constraint: %d divides %d * N_L" % (constraint.modulus, constrain
 print("reduced divisor:", constraint.reduced_divisor)
 print("N_L = 4 admissible:", constraint.satisfied(4))
 print("N_L = 3 admissible:", constraint.satisfied(3))
-
-# Step 6: the sphere classes that certify monotonicity of the cut
-# sit in a fixed order in the semifree report.
-cases = semifree_monotonicity_cases(Fraction(-1, 2))
-for case in cases.cases:
-    print("monotonicity case:", case.name)

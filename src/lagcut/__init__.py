@@ -10,21 +10,16 @@ into verdicts, and `cli` exposes everything on the command line.
 from .charnum import (
     CircleBundle,
     CutContext,
-    MonotonicityCase,
     NotMonotoneLevelError,
-    SemifreeReport,
     TorsionConstraint,
     UndeterminableError,
-    WeightData,
     ZeroSectionReport,
     build_cut,
-    gradient_sphere_check,
     maslov_exact,
     maslov_simply_connected,
     maslov_torsion_constraint,
     maslov_zero_section,
     pi1_total,
-    semifree_monotonicity_cases,
 )
 from .coring import (
     CohomologyRing,
@@ -34,7 +29,6 @@ from .coring import (
     make_product_spheres,
     make_sphere,
     make_torus,
-    tensor,
 )
 from .floer import (
     COHOMOLOGY_MINUS_ENDS,
@@ -47,8 +41,6 @@ from .fold import (
     InvalidModulusError,
     TorusIdentityReport,
     binomial_fold_sums,
-    cp_profile_match,
-    fold_dims,
     fold_mod,
     is_two_periodic,
     roots_of_unity_residual,
@@ -84,17 +76,14 @@ __all__ = [
     "INCONCLUSIVE",
     "InvalidModulusError",
     "InvalidRingError",
-    "MonotonicityCase",
     "NotMonotoneLevelError",
     "OBSTRUCTED",
     "ScanRow",
-    "SemifreeReport",
     "TorsionConstraint",
     "TorusIdentityReport",
     "TraceStep",
     "UndeterminableError",
     "Verdict",
-    "WeightData",
     "ZeroSectionReport",
     "binomial_fold_sums",
     "build_cut",
@@ -103,11 +92,8 @@ __all__ = [
     "check_simply_connected_in_cut",
     "check_sphere",
     "check_torus",
-    "cp_profile_match",
     "exact_verdict",
-    "fold_dims",
     "fold_mod",
-    "gradient_sphere_check",
     "is_two_periodic",
     "make_complex_projective",
     "make_custom",
@@ -122,9 +108,7 @@ __all__ = [
     "pi1_total",
     "roots_of_unity_residual",
     "scan",
-    "semifree_monotonicity_cases",
     "sphere_local_rule",
     "ss_collapse_certificate",
-    "tensor",
     "torus_identity_check",
 ]

@@ -67,17 +67,6 @@ class CutContext:
 
 
 @dataclass(frozen=True)
-class WeightData:
-    """Weights of the linearised circle action at a fixed point."""
-
-    weights: tuple[int, ...]
-
-    @property
-    def sum(self) -> int:
-        return sum(self.weights)
-
-
-@dataclass(frozen=True)
 class ZeroSectionReport:
     """Maslov data of the zero section inside the cut.
 
@@ -112,23 +101,6 @@ class TorsionConstraint:
         if self.modulus == 0:
             return 0
         return self.modulus // gcd(self.modulus, self.multiplier)
-
-
-@dataclass(frozen=True)
-class MonotonicityCase:
-    """One sphere-class family with its area and Chern pairing."""
-
-    name: str
-    omega_coeff: Fraction
-    c1: int | None
-    ratio: Fraction | None
-
-
-@dataclass(frozen=True)
-class SemifreeReport:
-    cases: tuple[MonotonicityCase, ...]
-    K_W: Fraction
-    consistent: bool
 
 
 def build_cut(bundle: CircleBundle, level: Fraction | int | str) -> CutContext:
@@ -197,43 +169,3 @@ def maslov_exact(m: int) -> int:
     if m < 1:
         raise ValueError("index m must be >= 1")
     return 2 * m
-
-
-def gradient_sphere_check(
-    w_source: WeightData, w_sink: WeightData, c1: int, N_W: int
-) -> bool:
-    """Verify the gluing identity for a gradient sphere between fixed points.
-
-    The Chern pairing must equal the drop in weight sums, and when the
-    ambient Chern number is positive the two weight sums must agree modulo
-    it (every sphere pairs with the first Chern class in N_W Z).
-    """
-    delta = w_source.sum - w_sink.sum
-    if c1 != delta:
-        return False
-    if N_W > 0 and delta % N_W != 0:
-        return False
-    return True
-
-
-def semifree_monotonicity_cases(level: Fraction | int | str) -> SemifreeReport:
-    """The three sphere-class families checked for a common area ratio.
-
-    Classes from the reduced space pair to zero with both the symplectic
-    and the Chern class; disc-bundle classes have area ratio -2 pi xi; the
-    gradient sphere has area 2 pi (-xi) against Chern number 1.  All three
-    are consistent with monotonicity constant K_W = -2 pi xi.
-    """
-    xi = Fraction(level)
-    if xi >= 0:
-        raise NotMonotoneLevelError(
-            f"not-monotone-level: cut level must be negative, got {xi}"
-        )
-    k_w = -2 * xi
-    cases = (
-        MonotonicityCase("reduced-space-classes", Fraction(0), 0, None),
-        MonotonicityCase("disc-bundle-classes", k_w, 1, k_w),
-        MonotonicityCase("gradient-sphere", 2 * (-xi), 1, 2 * (-xi)),
-    )
-    ratios = {c.ratio for c in cases if c.ratio is not None}
-    return SemifreeReport(cases=cases, K_W=k_w, consistent=ratios == {k_w})

@@ -322,24 +322,29 @@ def parse_candidate(spec: str) -> CohomologyRing:
     """Build a candidate ring from a specifier like 'sphere:d=7'.
 
     Known kinds: sphere:d=, torus:d=, prodsph:l=,m=, cp:n=, and
-    custom:betti=[...],gens=[...].
+    custom:betti=[...],gens=[...] (gens optional).  A field given twice,
+    or one the kind does not take, is refused.
     """
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise ValueError(f"candidate {spec!r} must look like kind:key=value,...")
     fields: dict[str, str] = {}
+    repeated: list[str] = []
     for piece in _split_top(rest):
         if not piece.strip():
             continue
         key, eq, value = piece.partition("=")
         if not eq:
             raise ValueError(f"candidate field {piece!r} is not key=value")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            repeated.append(key)
+        fields[key] = value.strip()
 
     def need(key: str) -> str:
         if key not in fields:
             raise ValueError(f"candidate kind {kind!r} needs {key}=")
-        return fields[key]
+        return fields.pop(key)
 
     def need_int(key: str) -> int:
         raw = need(key)
@@ -351,18 +356,26 @@ def parse_candidate(spec: str) -> CohomologyRing:
         return value
 
     if kind == "sphere":
-        return make_sphere(need_int("d"))
-    if kind == "torus":
-        return make_torus(need_int("d"))
-    if kind == "prodsph":
-        return make_product_spheres(need_int("l"), need_int("m"))
-    if kind == "cp":
-        return make_complex_projective(need_int("n"))
-    if kind == "custom":
+        ring = make_sphere(need_int("d"))
+    elif kind == "torus":
+        ring = make_torus(need_int("d"))
+    elif kind == "prodsph":
+        ring = make_product_spheres(need_int("l"), need_int("m"))
+    elif kind == "cp":
+        ring = make_complex_projective(need_int("n"))
+    elif kind == "custom":
         betti = _int_list(need("betti"), "betti")
-        gens = _int_list(fields["gens"], "gens") if "gens" in fields else ()
-        return make_custom(betti, gens)
-    raise ValueError(f"unknown candidate kind {kind!r}")
+        gens = _int_list(need("gens"), "gens") if "gens" in fields else ()
+        ring = make_custom(betti, gens)
+    else:
+        raise ValueError(f"unknown candidate kind {kind!r}")
+    # after the build, so a spec the build refuses keeps that message;
+    # need() has taken out every field the kind reads
+    if repeated:
+        raise ValueError(f"candidate field {repeated[0]}= is given twice")
+    if fields:
+        raise ValueError(f"candidate kind {kind!r} does not take {min(fields)}=")
+    return ring
 
 
 def _merge_rationals(argv: list[str]) -> list[str]:

@@ -238,14 +238,3 @@ def make_custom(
     support = tuple((k, b) for k, b in enumerate(dense) if b)
     gens = tuple(sorted(int(g) for g in generator_degrees))
     return CohomologyRing(label, len(dense) - 1, support, gens)
-
-
-def tensor(a: CohomologyRing, b: CohomologyRing) -> CohomologyRing:
-    """Graded tensor product: Betti vectors convolve, generators unite."""
-    dims: dict[int, int] = {}
-    for i, bi in a.support:
-        for j, bj in b.support:
-            dims[i + j] = dims.get(i + j, 0) + bi * bj
-    support = tuple(sorted(dims.items()))
-    gens = tuple(sorted(a.generator_degrees + b.generator_degrees))
-    return CohomologyRing(f"{a.label}*{b.label}", a.dim + b.dim, support, gens)

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .coring import CohomologyRing, binomial_row, make_complex_projective
+from .coring import CohomologyRing, binomial_row
 
 
 class InvalidModulusError(ValueError):
@@ -39,15 +39,6 @@ def _fold_pairs(pairs: Iterable[tuple[int, int]], N: int) -> tuple[int, ...]:
     for k, b in pairs:
         out[k % N] += b
     return tuple(out)
-
-
-def fold_dims(dims: Sequence[int], N: int) -> tuple[int, ...]:
-    """Fold a raw graded dimension vector: S_j = sum of dims[k] over k = j mod N."""
-    folded = _fold_pairs(enumerate(dims), N)
-    # ring supports and binomials are nonnegative already; a raw vector is not
-    if min(folded) < 0:
-        raise InvalidModulusError("folded dimensions must be nonnegative")
-    return folded
 
 
 def fold_mod(ring: CohomologyRing, N: int) -> tuple[int, ...]:
@@ -101,16 +92,3 @@ def roots_of_unity_residual(d: int, N: int) -> float:
     for k in range(1, N):
         trig += math.cos(math.pi * k / N) ** d * math.cos(math.pi * k * d / N)
     return abs(left / (1 << d) - trig)
-
-
-def cp_profile_match(dims: tuple[int, ...], d: int) -> bool:
-    """True iff dims is the fold of the complex projective space of dimension d.
-
-    The reference profile is CP^(d/2) folded modulo d+2, the shape forced
-    on simply connected candidates at the boundary grading.
-    """
-    if d % 2 != 0 or d < 2:
-        raise ValueError("d must be a positive even integer")
-    if len(dims) != d + 2:
-        raise InvalidModulusError("profile modulus must equal d + 2")
-    return dims == fold_mod(make_complex_projective(d // 2), d + 2)

@@ -91,15 +91,6 @@ def brute_fold(dims: list[int] | tuple[int, ...], N: int) -> list[int]:
     return out
 
 
-def brute_convolve(a: list[int] | tuple[int, ...], b: list[int] | tuple[int, ...]) -> list[int]:
-    """Reference graded convolution of two dimension vectors."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

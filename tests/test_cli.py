@@ -272,6 +272,9 @@ def test_fold_specifier_kinds():
         "prodsph:l=2,m=4": [2, 1, 1],
         "cp:n=2": [1, 1, 1],
         "custom:betti=[1,0,2,0,1],gens=[2,2]": [1, 1, 2],
+        # gens= is optional and empty pieces are skipped
+        "custom:betti=[1]": [1, 0],
+        "sphere:,d=3,,": [1, 1],
     }
     for spec, expected in cases.items():
         code, doc = run_json(["fold", "--candidate", spec, "--modulus", str(len(expected))])
@@ -290,6 +293,27 @@ def test_fold_rejects_bad_specifiers():
     for spec in ("sphere", "sphere:d=x", "blob:d=2", "custom:betti=[1,2", "sphere:d"):
         code, _ = run(["fold", "--candidate", spec, "--modulus", "2"])
         assert code == 1, spec
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("torus:d=3,d=4", "candidate field d= is given twice"),
+        ("torus:d=3, d =3", "candidate field d= is given twice"),
+        ("custom:betti=[1,0,1],gens=[2],gens=[2]", "candidate field gens= is given twice"),
+        ("sphere:d=3,x=5", "candidate kind 'sphere' does not take x="),
+        ("cp:n=2,betti=[1]", "candidate kind 'cp' does not take betti="),
+        ("prodsph:l=1,m=2,n=3", "candidate kind 'prodsph' does not take n="),
+        # a spec the ring builder refuses keeps the builder's message
+        ("torus:d=3,d=x", "candidate field d='x' is not an integer"),
+        ("sphere:d=0,x=5", "invalid-dimension: sphere needs d >= 1"),
+        ("sphere:x=5", "candidate kind 'sphere' needs d="),
+    ],
+)
+def test_fold_refuses_repeated_and_foreign_fields(spec, message):
+    code, doc = run_json(["fold", "--candidate", spec, "--modulus", "2"])
+    assert code == 1
+    assert doc == {"error": {"cite": "usage-error", "message": message}}
 
 
 # -------------------------------------------------------------------- check

@@ -3,7 +3,6 @@
 import dataclasses
 import inspect
 import itertools
-import random
 import time
 
 import pytest
@@ -27,11 +26,10 @@ from lagcut.coring import (
     make_product_spheres,
     make_sphere,
     make_torus,
-    tensor,
 )
 from lagcut.floer import ss_collapse_certificate
 from lagcut.fold import fold_mod
-from oracles import brute_convolve, pascal_row
+from oracles import pascal_row
 
 
 def test_sphere_betti():
@@ -331,7 +329,15 @@ def test_generated_degree_bit_set_is_bounded():
         (lambda: make_product_spheres(1, top), top + 1),
         (lambda: make_product_spheres(1, 10**20), 10**20 + 1),
         (lambda: make_product_spheres(10**10, 10**10 + 1), 2 * 10**10 + 1),
-        (lambda: tensor(make_sphere(2 * top), make_sphere(3)), 2 * top + 3),
+        (
+            lambda: CohomologyRing(
+                "S^(2 top) x S^3",
+                2 * top + 3,
+                ((0, 1), (3, 1), (2 * top, 1), (2 * top + 3, 1)),
+                (3, 2 * top),
+            ),
+            2 * top + 3,
+        ),
     ]:
         start = time.perf_counter()
         with pytest.raises(InvalidRingError) as info:
@@ -406,37 +412,3 @@ def test_poincare_duality_all_constructors():
     for ring in rings:
         for k in range(ring.dim + 1):
             assert ring.betti[k] == ring.betti[ring.dim - k], ring.label
-
-
-def test_tensor_betti_is_convolution():
-    pairs = [
-        (make_sphere(3), make_sphere(5)),
-        (make_torus(2), make_complex_projective(2)),
-        (make_product_spheres(1, 2), make_torus(3)),
-    ]
-    for a, b in pairs:
-        prod = tensor(a, b)
-        assert list(prod.betti) == brute_convolve(a.betti, b.betti)
-        assert prod.dim == a.dim + b.dim
-        assert prod.label == f"{a.label}*{b.label}"
-
-
-def test_tensor_total_dim_multiplicative():
-    rng = random.Random(11)
-    pool = [
-        make_sphere(2),
-        make_sphere(5),
-        make_torus(3),
-        make_torus(4),
-        make_product_spheres(2, 3),
-        make_complex_projective(2),
-    ]
-    for _ in range(50):
-        a, b = rng.choice(pool), rng.choice(pool)
-        assert tensor(a, b).total_dim == a.total_dim * b.total_dim
-
-
-def test_tensor_product_of_circles_is_torus():
-    circle = make_sphere(1)
-    prod = tensor(tensor(circle, circle), circle)
-    assert prod.betti == make_torus(3).betti

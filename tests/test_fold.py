@@ -7,15 +7,13 @@ import pytest
 from lagcut.coring import (
     MAX_TORUS_DIM,
     InvalidRingError,
-    make_complex_projective,
+    make_custom,
     make_sphere,
     make_torus,
 )
 from lagcut.fold import (
     InvalidModulusError,
     binomial_fold_sums,
-    cp_profile_match,
-    fold_dims,
     fold_mod,
     is_two_periodic,
     roots_of_unity_residual,
@@ -24,35 +22,22 @@ from lagcut.fold import (
 from oracles import brute_fold, pascal_row
 
 
-def test_fold_dims_basic():
-    profile = fold_dims((1, 0, 2, 0, 1), 4)
-    assert type(profile) is tuple
-    assert profile == (2, 0, 2, 0)
-    assert sum(profile) == 4
-
-
-def test_fold_dims_modulus_one_collapses_everything():
-    assert fold_dims((1, 2, 3), 1) == (6,)
-
-
 def test_fold_preserves_total_dimension():
+    # random Poincare-dual vectors, every degree generated by a degree-1 class
     rng = random.Random(7)
     for _ in range(300):
-        dims = [rng.randrange(0, 5) for _ in range(rng.randrange(1, 30))]
+        half = [rng.randrange(0, 5) for _ in range(rng.randrange(0, 15))]
+        dims = [1] + half + [rng.randrange(0, 5)] * rng.randrange(0, 2) + half[::-1] + [1]
         N = rng.randrange(1, 12)
-        profile = fold_dims(dims, N)
+        profile = fold_mod(make_custom(dims, [1]), N)
+        assert type(profile) is tuple
         assert sum(profile) == sum(dims)
         assert list(profile) == brute_fold(dims, N)
 
 
 def test_fold_rejects_bad_modulus():
-    with pytest.raises(InvalidModulusError):
-        fold_dims((1,), 0)
-
-
-def test_folded_profile_validation():
-    with pytest.raises(InvalidModulusError, match="folded dimensions must be nonnegative"):
-        fold_dims((1, -1), 2)
+    with pytest.raises(InvalidModulusError, match="invalid-modulus: N must be >= 1"):
+        fold_mod(make_sphere(1), 0)
 
 
 def test_fold_mod_torus_equals_binomial_sums():
@@ -192,18 +177,3 @@ def test_torus_dimension_bound():
 def test_trig_residual_rejects_bad_modulus():
     with pytest.raises(InvalidModulusError):
         roots_of_unity_residual(4, 1)
-
-
-def test_cp_profile_match():
-    reference = fold_mod(make_complex_projective(3), 8)
-    assert cp_profile_match(reference, 6)
-    sphere = fold_mod(make_sphere(6), 8)
-    assert not cp_profile_match(sphere, 6)
-
-
-def test_cp_profile_match_validates_arguments():
-    profile = fold_mod(make_complex_projective(2), 6)
-    with pytest.raises(ValueError):
-        cp_profile_match(profile, 5)
-    with pytest.raises(InvalidModulusError):
-        cp_profile_match(profile, 8)
