@@ -22,6 +22,17 @@ from lagcut.fold import (
 from oracles import brute_fold, pascal_row
 
 
+def test_fold_dims_basic():
+    profile = fold_mod(make_custom((1, 0, 2, 0, 1), [2]), 4)
+    assert type(profile) is tuple
+    assert profile == (2, 0, 2, 0)
+    assert sum(profile) == 4
+
+
+def test_fold_dims_modulus_one_collapses_everything():
+    assert fold_mod(make_custom((1, 2, 2, 1), [1]), 1) == (6,)
+
+
 def test_fold_preserves_total_dimension():
     # random Poincare-dual vectors, every degree generated by a degree-1 class
     rng = random.Random(7)
