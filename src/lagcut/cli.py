@@ -398,44 +398,56 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json"), default="text")
 
 
-def _build_parser() -> _Parser:
+def _build_parser(tokens: frozenset[str] | None = None) -> _Parser:
+    # argparse enters a subparser only for a token equal to its name, so
+    # options go only to the subcommands and check targets named in
+    # `tokens`; every one is still registered with its help, so choices,
+    # errors and --help read the same.  None fills them all.
+    def named(name: str) -> bool:
+        return tokens is None or name in tokens
+
     top = _Parser(prog="lagcut", description="obstruction engine for Lagrangians in cuts")
     top.add_argument("--batch", metavar="FILE", help="JSON array of {command, args} entries")
     sub = top.add_subparsers(dest="cmd")
 
     classes = sub.add_parser("classes", help="characteristic numbers of a monotone cut")
-    classes.add_argument("--euler", type=int, required=True)
-    classes.add_argument("--level", type=str, required=True, help="rational, e.g. -1/2")
-    classes.add_argument("--dim", type=int, default=3, help="dimension of the total space")
-    _add_format(classes)
+    if named("classes"):
+        classes.add_argument("--euler", type=int, required=True)
+        classes.add_argument("--level", type=str, required=True, help="rational, e.g. -1/2")
+        classes.add_argument("--dim", type=int, default=3, help="dimension of the total space")
+        _add_format(classes)
 
     identity = sub.add_parser("identity", help="folded binomial sums and N*S_0 vs 2^d")
-    identity.add_argument("--d", type=int, required=True)
-    identity.add_argument("--modulus", type=int, required=True)
-    _add_format(identity)
+    if named("identity"):
+        identity.add_argument("--d", type=int, required=True)
+        identity.add_argument("--modulus", type=int, required=True)
+        _add_format(identity)
 
     fold = sub.add_parser("fold", help="fold a candidate ring mod N")
-    fold.add_argument("--candidate", type=str, required=True, help="e.g. sphere:d=7")
-    fold.add_argument("--modulus", type=int, required=True)
-    _add_format(fold)
+    if named("fold"):
+        fold.add_argument("--candidate", type=str, required=True, help="e.g. sphere:d=7")
+        fold.add_argument("--modulus", type=int, required=True)
+        _add_format(fold)
 
     check = sub.add_parser("check", help="run one verdict pipeline")
-    targets = check.add_subparsers(dest="target", required=True)
-
-    for family, (params, _, takes_surjectivity) in FAMILIES.items():
-        target = targets.add_parser(family)
-        for name in params:
-            target.add_argument(f"--{name}", type=int, required=True)
-        if takes_surjectivity:
-            target.add_argument("--surjectivity", action="store_true")
-        _add_format(target)
+    if named("check"):
+        targets = check.add_subparsers(dest="target", required=True)
+        for family, (params, _, takes_surjectivity, _) in FAMILIES.items():
+            target = targets.add_parser(family)
+            if named(family):
+                for name in params:
+                    target.add_argument(f"--{name}", type=int, required=True)
+                if takes_surjectivity:
+                    target.add_argument("--surjectivity", action="store_true")
+                _add_format(target)
 
     scan_p = sub.add_parser("scan", help="run a pipeline over a parameter grid")
-    scan_p.add_argument("--family", required=True, choices=tuple(FAMILIES))
-    for name in _SCAN_PARAMS:
-        scan_p.add_argument(f"--{name}", type=str, help="integer or lo..hi")
-    scan_p.add_argument("--surjectivity", action="store_true")
-    _add_format(scan_p)
+    if named("scan"):
+        scan_p.add_argument("--family", required=True, choices=tuple(FAMILIES))
+        for name in _SCAN_PARAMS:
+            scan_p.add_argument(f"--{name}", type=str, help="integer or lo..hi")
+        scan_p.add_argument("--surjectivity", action="store_true")
+        _add_format(scan_p)
 
     return top
 
@@ -503,7 +515,7 @@ def _cmd_fold(ns: argparse.Namespace) -> tuple[int, dict[str, Any]]:
 
 
 def _cmd_check(ns: argparse.Namespace) -> tuple[int, Verdict]:
-    params, check, _ = FAMILIES[ns.target]
+    params, check, *_ = FAMILIES[ns.target]
     return 0, check({p: getattr(ns, p) for p in params}, getattr(ns, "surjectivity", False))
 
 
@@ -686,8 +698,9 @@ def _run_batch(path: str) -> tuple[int, str]:
 
 def run(argv: list[str]) -> tuple[int, str]:
     """Dispatch one command line, returning (exit code, rendered output)."""
+    tokens = _merge_rationals(list(argv))
     try:
-        ns = _build_parser().parse_args(_merge_rationals(list(argv)))
+        ns = _build_parser(frozenset(tokens)).parse_args(tokens)
     except UsageError as exc:
         return 1, f"usage error: {exc}\n"
     except _HelpRequested as exc:

@@ -9,8 +9,10 @@ out or constrain them, but it cannot certify that one exists.
 
 `FAMILIES` registers each candidate family once: its parameter names in
 scan order, a call of its check taking the parameters as a dict plus the
-surjectivity flag, and whether the family takes that flag.  `scan` and the
-command line's `check` and `scan` subcommands are all built from it.
+surjectivity flag, whether the family takes that flag, and the parameters
+a scan may leave out, each with the value it then takes from the others.
+`scan` and the command line's `check` and `scan` subcommands are all built
+from it.
 """
 
 from __future__ import annotations
@@ -544,22 +546,28 @@ def check_lens(p: int, n: int) -> Verdict:
     return Verdict(CONSTRAINED, {"m": admissible}, tuple(trace))
 
 
-FAMILIES: dict[str, tuple[tuple[str, ...], Callable[[dict[str, int], bool], Verdict], bool]] = {
+_FamilyCheck = Callable[[dict[str, int], bool], Verdict]
+_ScanDefault = Callable[[dict[str, int]], int]
+
+FAMILIES: dict[str, tuple[tuple[str, ...], _FamilyCheck, bool, dict[str, _ScanDefault]]] = {
     # The checks are looked up as module globals on each call, so a
     # rebinding of obstruct.check_* reaches scan and the command line.
     "sphere": (
         ("d", "euler", "grading"),
         lambda p, s: check_sphere(p["d"], p["euler"], p["grading"]),
         False,
+        # a sphere scan without a grading folds at N = 2 N_e
+        {"grading": lambda p: 2 * p["euler"]},
     ),
-    "torus": (("d", "euler"), lambda p, s: check_torus(p["d"], p["euler"]), False),
+    "torus": (("d", "euler"), lambda p, s: check_torus(p["d"], p["euler"]), False, {}),
     "prodsph": (
         ("l", "m", "euler"),
         lambda p, s: check_product_spheres(p["l"], p["m"], p["euler"]),
         False,
+        {},
     ),
-    "lens": (("p", "n"), lambda p, s: check_lens(p["p"], p["n"]), False),
-    "exact": (("d", "euler"), lambda p, s: exact_verdict(p["d"], p["euler"], s), True),
+    "lens": (("p", "n"), lambda p, s: check_lens(p["p"], p["n"]), False, {}),
+    "exact": (("d", "euler"), lambda p, s: exact_verdict(p["d"], p["euler"], s), True, {}),
 }
 
 
@@ -576,8 +584,8 @@ def scan(
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    order, check, takes_surjectivity = FAMILIES[family]
-    required = [p for p in order if p != "grading"]
+    order, check, takes_surjectivity, defaults = FAMILIES[family]
+    required = [p for p in order if p not in defaults]
     for p in required:
         if p not in ranges:
             raise ValueError(f"family {family!r} needs a range for {p!r}")
@@ -591,8 +599,9 @@ def scan(
     rows: list[ScanRow] = []
     for combo in itertools.product(*axes):
         params = dict(zip(names, combo))
-        if family == "sphere" and "grading" not in params:
-            params["grading"] = 2 * params["euler"]
+        for name, default in defaults.items():
+            if name not in params:
+                params[name] = default(params)
         try:
             verdict = check(params, use_surjectivity)
             rows.append(ScanRow(params=params, verdict=verdict, error=None))

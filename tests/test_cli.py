@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lagcut
+from lagcut import cli
 from lagcut.cli import (
     MAX_LENGTH,
     canonical_json,
@@ -467,7 +468,7 @@ def test_scan_takes_surjectivity_only_for_the_exact_family():
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_families_registry_says_which_take_surjectivity(family):
     # check's flag and scan's refusal both follow the FAMILIES entry
-    names, _, takes_surjectivity = FAMILIES[family]
+    names, _, takes_surjectivity, _ = FAMILIES[family]
     assert ("--surjectivity" in run(["check", family, "--help"])[1]) is takes_surjectivity
     argv = ["scan", "--family", family] + [arg for n in names for arg in (f"--{n}", "2")]
     code, out = run(argv + ["--surjectivity"])
@@ -852,6 +853,24 @@ def test_no_arguments_is_usage_error():
 def test_unknown_subcommand_is_usage_error():
     code, _ = run(["frobnicate"])
     assert code == 1
+
+
+def test_run_adds_options_only_for_the_named_subcommand(monkeypatch):
+    # one run builds its parser with options for `classes` alone; a full
+    # build, as --batch makes, fills every subcommand and check target
+    calls = []
+    add_argument = cli._Parser.add_argument
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "add_argument", counted)
+    assert run(["classes", "--euler", "2", "--level", "-1/2"])[0] == 0
+    named = len(calls)
+    calls.clear()
+    cli._build_parser()
+    assert 2 * named < len(calls)
 
 
 def test_main_writes_stdout_and_returns_code(capsys):

@@ -5,7 +5,9 @@ and huge ints (up to the 4,300 digits CPython parses), the first values
 above each cost limit, and malformed tokens spliced in.  Every run must
 return an exit code in {0, 1, 2} and never print CPython's own digit-limit
 message; a command line that parses with `--format json`, and every batch
-that runs, must print canonical JSON.
+that runs, must print canonical JSON.  A run, which adds options only for
+the subcommand its argv names, must answer exactly as one whose parser has
+every subcommand filled.
 
 In-domain values between a few dozen and the cost limits are left to the
 limit tests in test_obstruct.py and test_cli.py: near a limit a single
@@ -17,6 +19,7 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -149,6 +152,15 @@ def prints_json(argv):
     return ns.cmd is not None and not ns.batch and ns.format == "json"
 
 
+def run_full(argv):
+    # the reference path: the parser filled for every subcommand and check
+    # target, whatever argv names
+    build = cli._build_parser
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_build_parser", lambda tokens=None: build())
+        return cli.run(argv)
+
+
 @settings(max_examples=250, deadline=None)
 @given(command_lines())
 # the trace prints d + 2 and 2n + 1, one digit longer than the input
@@ -162,6 +174,29 @@ def test_run_answers_every_command_line(argv):
     assert "set_int_max_str_digits" not in out
     if prints_json(argv):
         assert_canonical(out)
+    assert (code, out) == run_full(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["-h"],
+        ["check", "-h"],
+        ["check", "torus", "-h"],
+        ["scan", "--help"],
+        ["check"],
+        ["check", "foo"],
+        ["nope"],
+        [],
+        # an abbreviated option, and a subcommand name as an option's value
+        ["classes", "--eul", "2", "--level", "-1/2"],
+        ["fold", "--candidate", "check", "--modulus", "3"],
+        ["--batch", "x", "check"],
+    ],
+)
+def test_fixed_command_lines_answer_as_the_full_parser_does(argv):
+    assert cli.run(argv) == run_full(argv)
 
 
 batch_entries = st.one_of(
