@@ -7,9 +7,9 @@ coefficient in units of pi.  No floating point enters this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 
 class NotMonotoneLevelError(ValueError):
@@ -20,8 +20,14 @@ class UndeterminableError(ValueError):
     """Raised when a quantity is not determined by the stored hypotheses."""
 
 
-@dataclass(frozen=True)
-class CircleBundle:
+class _BundleFields(NamedTuple):
+    total_dim: int
+    euler_number: int
+    base_simply_connected: bool
+    euler_nontrivial_on_pi2: bool
+
+
+class CircleBundle(_BundleFields):
     """A principal circle bundle V -> B of total dimension d.
 
     euler_number is the nonnegative generator of the pairing of the Euler
@@ -29,24 +35,29 @@ class CircleBundle:
     hypotheses of the obstruction theorems.
     """
 
-    total_dim: int
-    euler_number: int
-    base_simply_connected: bool = True
-    euler_nontrivial_on_pi2: bool = True
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.total_dim < 2:
+    def __new__(
+        cls,
+        total_dim: int,
+        euler_number: int,
+        base_simply_connected: bool = True,
+        euler_nontrivial_on_pi2: bool = True,
+    ) -> CircleBundle:
+        if total_dim < 2:
             raise ValueError("total_dim must be >= 2")
-        if self.euler_number < 0:
+        if euler_number < 0:
             raise ValueError("euler_number must be nonnegative")
-        if self.euler_nontrivial_on_pi2 and self.euler_number < 1:
+        if euler_nontrivial_on_pi2 and euler_number < 1:
             raise ValueError(
                 "euler_nontrivial_on_pi2 requires a positive euler number"
             )
+        return super().__new__(
+            cls, total_dim, euler_number, base_simply_connected, euler_nontrivial_on_pi2
+        )
 
 
-@dataclass(frozen=True)
-class CutContext:
+class CutContext(NamedTuple):
     """Derived exact data of the cut at a fixed negative level.
 
     Rational fields are coefficients of pi.  omega_coeff scales the pulled
@@ -66,8 +77,7 @@ class CutContext:
         return self.level < 0
 
 
-@dataclass(frozen=True)
-class ZeroSectionReport:
+class ZeroSectionReport(NamedTuple):
     """Maslov data of the zero section inside the cut.
 
     The relative homotopy group of discs on the zero section is infinite
@@ -80,8 +90,7 @@ class ZeroSectionReport:
     disc_area: Fraction
 
 
-@dataclass(frozen=True)
-class TorsionConstraint:
+class TorsionConstraint(NamedTuple):
     """Divisibility constraint on a Maslov number from torsion pi_1.
 
     Encodes: modulus divides multiplier * N_L.  The reduced divisor is the

@@ -182,7 +182,8 @@ def _render_row(row: ScanRow, pad: str) -> str:
     )
 
 
-# the result types whose fields are their JSON keys
+# the result types whose fields are their JSON keys; they are NamedTuples,
+# so _render must look them up here before any tuple test
 _RESULTS: dict[type, Callable[[Any, str], str]] = {
     TraceStep: lambda step, pad: _render_steps((step,), pad),
     Verdict: _render_verdict,

@@ -9,9 +9,9 @@ reason about degrees of generators, never about specific products.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 
 class InvalidRingError(ValueError):
@@ -49,8 +49,14 @@ RING_MEMO_SIZE = 256
 TORUS_MEMO_SIZE = 16
 
 
-@dataclass(frozen=True)
-class CohomologyRing:
+class _RingFields(NamedTuple):
+    label: str
+    dim: int
+    support: tuple[tuple[int, int], ...]
+    generator_degrees: tuple[int, ...]
+
+
+class CohomologyRing(_RingFields):
     """Graded dimension data of H^*(L; Z/2) for a closed connected L.
 
     support holds the pairs (k, dim H^k) with nonzero dimension, by
@@ -62,18 +68,20 @@ class CohomologyRing:
     tuples; make_custom builds a ring from a dense vector.
     """
 
-    label: str
-    dim: int
-    support: tuple[tuple[int, int], ...]
-    generator_degrees: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls,
+        label: str,
+        dim: int,
+        support: tuple[tuple[int, int], ...],
+        generator_degrees: tuple[int, ...],
+    ) -> CohomologyRing:
         # the ring invariants, in check order
-        dim, generator_degrees = self.dim, self.generator_degrees
         if dim < 0:
             raise InvalidRingError("invalid-dimension: dim must be >= 0")
-        degrees = [k for k, _ in self.support]
-        dims = [b for _, b in self.support]
+        degrees = [k for k, _ in support]
+        dims = [b for _, b in support]
         if (
             0 in dims
             or degrees != sorted(set(degrees))
@@ -88,7 +96,7 @@ class CohomologyRing:
             raise InvalidRingError("b_0 must be 1 (connected candidate)")
         if dims != dims[::-1] or degrees != [dim - k for k in reversed(degrees)]:
             # the failing degrees pair up as k, dim - k: report the lower
-            at = dict(self.support)
+            at = dict(support)
             k = min(min(j, dim - j) for j, b in at.items() if at.get(dim - j, 0) != b)
             raise InvalidRingError(f"Poincare duality fails: b_{k} != b_{dim - k}")
         if generator_degrees and (
@@ -100,6 +108,7 @@ class CohomologyRing:
             raise InvalidRingError(
                 f"degree {ungenerated[0]} carries cohomology but is not generated"
             )
+        return super().__new__(cls, label, dim, support, generator_degrees)
 
     @property
     def betti(self) -> tuple[int, ...]:

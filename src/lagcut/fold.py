@@ -8,8 +8,7 @@ the integer side is always the authority.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .coring import CohomologyRing, binomial_row
 
@@ -18,8 +17,7 @@ class InvalidModulusError(ValueError):
     """Raised for moduli outside an operation's domain."""
 
 
-@dataclass(frozen=True)
-class TorusIdentityReport:
+class TorusIdentityReport(NamedTuple):
     """Outcome of the equidistribution identity N*S_j = 2^d for the torus.
 
     sums holds S_0..S_{N-1}, the fold of the binomial row the test read.

@@ -18,9 +18,8 @@ from it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import isqrt
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .coring import make_complex_projective, make_product_spheres, make_sphere, make_torus
 from .fold import fold_mod, is_two_periodic
@@ -89,14 +88,12 @@ class HypothesisViolation(Exception):
         self.cite = cite
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     cite: str
     detail: str
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: str
     constraints: Mapping[str, Any] | None
     trace: tuple[TraceStep, ...]
@@ -109,8 +106,7 @@ class Verdict:
         }
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     params: dict[str, int]
     verdict: Verdict | None
     error: dict[str, str] | None

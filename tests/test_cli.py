@@ -149,6 +149,18 @@ def test_canonical_json_renders_results_as_their_dict_form(step, verdict, row, r
         assert canonical_json(doc) == tree_json(doc)
 
 
+@settings(max_examples=100, deadline=None)
+@given(trace_steps, verdicts, scan_rows)
+def test_canonical_json_renders_results_in_tuples_and_lists_as_dicts(step, verdict, row):
+    # the records are tuples themselves: each must still render as its dict
+    # form, never as a JSON array, wherever it sits
+    for doc in ((step, verdict, row), [step, verdict, row], ((row,),), {"rows": (row, row)}):
+        assert canonical_json(doc) == tree_json(doc)
+    for record in (step, verdict, row):
+        for doc in ((record,), [record]):
+            assert type(json.loads(canonical_json(doc))[0]) is dict
+
+
 @pytest.mark.parametrize("value", [{1, 2}, Fraction(1, 2), object(), b"bytes"])
 def test_canonical_json_rejects_unsupported_types(value):
     for doc in (value, [value], {"key": value}):
@@ -1041,6 +1053,24 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["constraints"] == {"m": [1]}
+
+
+def test_import_loads_no_introspection_modules():
+    # the records are NamedTuples, so importing the CLI pulls in neither
+    # dataclasses nor the modules it imports; whatever the interpreter
+    # loads before the import does not count
+    src = str(Path(lagcut.__file__).resolve().parent.parent)
+    code = (
+        "import sys; before = set(sys.modules); "
+        f"sys.path.insert(0, {src!r}); import lagcut.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    loaded = set(proc.stdout.split())
+    assert "lagcut.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 # ------------------------------------------------------------------- helpers

@@ -1,8 +1,8 @@
 """Tests for graded cohomology ring construction and validation."""
 
-import dataclasses
 import inspect
 import itertools
+import json
 import time
 
 import pytest
@@ -10,6 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagcut import coring
+from lagcut.charnum import (
+    CircleBundle,
+    build_cut,
+    maslov_torsion_constraint,
+    maslov_zero_section,
+)
 from lagcut.coring import (
     MAX_REDUCED_DEGREE,
     MAX_SUPPORT_PAIRS,
@@ -28,7 +34,8 @@ from lagcut.coring import (
     make_torus,
 )
 from lagcut.floer import ss_collapse_certificate
-from lagcut.fold import fold_mod
+from lagcut.fold import fold_mod, torus_identity_check
+from lagcut.obstruct import ScanRow, TraceStep, Verdict
 from oracles import pascal_row
 
 
@@ -382,7 +389,7 @@ def test_ring_constructors_share_their_ring(make, memo, size, args):
     assert memo.cache_parameters() == {"maxsize": size, "typed": True}
     ring = make(*args)
     assert make(*args) is ring
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         ring.label = "changed"
 
 
@@ -412,3 +419,119 @@ def test_poincare_duality_all_constructors():
     for ring in rings:
         for k in range(ring.dim + 1):
             assert ring.betti[k] == ring.betti[ring.dim - k], ring.label
+
+
+# ---------------------------------------------------------------- records
+
+
+def one_of_each_record():
+    # each of the package's nine records, with a field to try to assign
+    bundle = CircleBundle(3, 2)
+    ctx = build_cut(bundle, "-1/2")
+    step = TraceStep("cite", "detail")
+    verdict = Verdict("Constrained", {"N": [2]}, (step,))
+    return [
+        (make_sphere(3), "label"),
+        (bundle, "euler_number"),
+        (ctx, "level"),
+        (maslov_zero_section(ctx), "N_V"),
+        (maslov_torsion_constraint(3, 4), "modulus"),
+        (torus_identity_check(4, 2), "holds"),
+        (step, "detail"),
+        (verdict, "status"),
+        (ScanRow({"d": 3}, verdict, None), "error"),
+    ]
+
+
+def test_records_are_immutable():
+    records = one_of_each_record()
+    assert len({type(record) for record, _ in records}) == 9
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        # no instance dict either, so no new attribute
+        with pytest.raises(AttributeError):
+            record.note = "extra"
+
+
+def test_records_are_tuples_of_their_fields():
+    step = TraceStep("a", "b")
+    assert step == ("a", "b")
+    assert len(step) == 2
+    cite, detail = step
+    assert (cite, detail) == ("a", "b")
+    assert repr(step) == "TraceStep(cite='a', detail='b')"
+    verdict = Verdict("Inconclusive", None, (step,))
+    assert json.dumps(verdict) == '["Inconclusive", null, [["a", "b"]]]'
+    assert verdict.to_json_dict() == {
+        "status": "Inconclusive",
+        "constraints": None,
+        "trace": [{"cite": "a", "detail": "b"}],
+    }
+    assert repr(make_sphere(2)) == (
+        "CohomologyRing(label='sphere:d=2', dim=2, support=((0, 1), (2, 1)), "
+        "generator_degrees=(2,))"
+    )
+
+
+# (label, dim, support, generator_degrees) breaking the checks in order;
+# the first case breaks every later check too
+BAD_RINGS = [
+    (("r", -1, ((0, 2), (3, 1)), (5,)), "invalid-dimension: dim must be >= 0"),
+    (("r", 2, ((2, 1), (0, 1)), (2,)),
+     "support must list nonzero dimensions at increasing degrees in [0, dim]"),
+    (("r", 2, ((0, 1), (1, -1), (2, 1)), (1,)), "betti numbers must be nonnegative"),
+    (("r", 2, ((0, 2), (2, 2)), (2,)), "b_0 must be 1 (connected candidate)"),
+    (("r", 3, ((0, 1), (1, 1), (3, 1)), (1,)), "Poincare duality fails: b_1 != b_2"),
+    (("r", 2, ((0, 1), (2, 1)), (3,)), "generator degrees must lie in [1, dim]"),
+    (("r", 2, ((0, 1), (1, 1), (2, 1)), (2,)),
+     "degree 1 carries cohomology but is not generated"),
+]
+
+
+@pytest.mark.parametrize("args, message", BAD_RINGS)
+def test_ring_checks_positional_and_keyword_construction(args, message):
+    names = ("label", "dim", "support", "generator_degrees")
+    for build in (
+        lambda: CohomologyRing(*args),
+        lambda: CohomologyRing(**dict(zip(names, args))),
+        lambda: CohomologyRing(args[0], args[1], support=args[2], generator_degrees=args[3]),
+    ):
+        with pytest.raises(InvalidRingError) as info:
+            build()
+        assert str(info.value) == message
+
+
+def test_ring_keyword_construction_matches_positional():
+    args = ("s", 2, ((0, 1), (2, 1)), (2,))
+    ring = CohomologyRing(label="s", dim=2, support=((0, 1), (2, 1)), generator_degrees=(2,))
+    assert ring == CohomologyRing(*args)
+    assert ring.support == make_sphere(2).support
+    assert type(ring) is CohomologyRing
+
+
+BAD_BUNDLES = [
+    ((1, -1), {}, "total_dim must be >= 2"),
+    ((3, -1), {"euler_nontrivial_on_pi2": False}, "euler_number must be nonnegative"),
+    ((3, 0), {}, "euler_nontrivial_on_pi2 requires a positive euler number"),
+    ((3, 0, True, True), {}, "euler_nontrivial_on_pi2 requires a positive euler number"),
+]
+
+
+@pytest.mark.parametrize("args, flags, message", BAD_BUNDLES)
+def test_bundle_checks_positional_and_keyword_construction(args, flags, message):
+    names = ("total_dim", "euler_number", "base_simply_connected", "euler_nontrivial_on_pi2")
+    keywords = dict(zip(names, args), **flags)
+    for build in (lambda: CircleBundle(*args, **flags), lambda: CircleBundle(**keywords)):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+
+def test_bundle_defaults_and_keywords():
+    bundle = CircleBundle(total_dim=3, euler_number=0, euler_nontrivial_on_pi2=False)
+    assert bundle == CircleBundle(3, 0, True, False)
+    assert bundle.base_simply_connected is True
+    assert CircleBundle(3, 2) == (3, 2, True, True)
