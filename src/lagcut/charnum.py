@@ -56,6 +56,11 @@ class CircleBundle(_BundleFields):
             cls, total_dim, euler_number, base_simply_connected, euler_nontrivial_on_pi2
         )
 
+    @classmethod
+    def _make(cls, iterable) -> CircleBundle:
+        # _replace builds through _make, which would skip the checks
+        return cls(*iterable)
+
 
 class CutContext(NamedTuple):
     """Derived exact data of the cut at a fixed negative level.

@@ -110,6 +110,11 @@ class CohomologyRing(_RingFields):
             )
         return super().__new__(cls, label, dim, support, generator_degrees)
 
+    @classmethod
+    def _make(cls, iterable) -> CohomologyRing:
+        # _replace builds through _make, which would skip the checks
+        return cls(*iterable)
+
     @property
     def betti(self) -> tuple[int, ...]:
         """Dense Betti vector: betti[k] is dim H^k, indexed 0..dim."""

@@ -504,6 +504,19 @@ def test_ring_checks_positional_and_keyword_construction(args, message):
         assert str(info.value) == message
 
 
+def test_replace_runs_the_construction_checks():
+    ring = make_sphere(2)
+    with pytest.raises(InvalidRingError, match="invalid-dimension: dim must be >= 0"):
+        ring._replace(dim=-1)
+    with pytest.raises(InvalidRingError, match="b_0 must be 1"):
+        CohomologyRing._make(("r", 2, ((0, 2), (2, 2)), (2,)))
+    assert ring._replace(label="s") == ("s", 2, ((0, 1), (2, 1)), (2,))
+    assert type(ring._replace(label="s")) is CohomologyRing
+    with pytest.raises(ValueError, match="total_dim must be >= 2"):
+        CircleBundle(3, 2)._replace(total_dim=1)
+    assert CircleBundle(3, 2)._replace(euler_number=5) == CircleBundle(3, 5)
+
+
 def test_ring_keyword_construction_matches_positional():
     args = ("s", 2, ((0, 1), (2, 1)), (2,))
     ring = CohomologyRing(label="s", dim=2, support=((0, 1), (2, 1)), generator_degrees=(2,))
