@@ -100,18 +100,26 @@ def _key_order(keys: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
     return tuple((k, f"{encode_basestring_ascii(k)}: ") for k in sorted(keys))
 
 
-def _render(doc: Any, pad: str) -> str:
+# what a rendering keeps for its whole document: for each pad, the text
+# of every TraceStep met at that pad, so a step that many rows share is
+# rendered once
+_Rendered = dict[str, dict[TraceStep, str]]
+
+
+def _render(doc: Any, pad: str, rendered: _Rendered) -> str:
     # The exact container types are tested first, and a container renders
     # its scalar children in its own loop, through _SCALARS, instead of
     # calling _render once per scalar.
     kind = type(doc)
-    if kind is not dict and kind is not list and kind is not tuple:
+    if kind is dict:
+        return _render_dict(doc, pad, rendered)
+    if kind is not list and kind is not tuple:
         scalar = _SCALARS.get(kind)
         if scalar is not None:
             return scalar(doc)
         result = _RESULTS.get(kind)
         if result is not None:
-            return result(doc, pad)
+            return result(doc, pad, rendered)
         kind = next((base for base in _BASES if isinstance(doc, base)), None)
         if kind is None:
             raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
@@ -119,46 +127,72 @@ def _render(doc: Any, pad: str) -> str:
             return _SCALARS[kind](doc)
         if kind is dict:
             # read a mapping subclass through items(), as json does
-            doc = dict(doc.items())
+            return _render_dict(dict(doc.items()), pad, rendered)
+    if not doc:
+        return "[]"
     get, inner = _SCALARS.get, pad + "  "
     parts = []
-    if kind is dict:
-        for k, head in _key_order(tuple(doc)):
-            v = doc[k]
-            scalar = get(type(v))
-            # one expression, so no local keeps a rendered child alive
-            parts.append(head + (scalar(v) if scalar is not None else _render(v, inner)))
-        brackets = "{}"
-    else:
-        for v in doc:
-            scalar = get(type(v))
-            parts.append(scalar(v) if scalar is not None else _render(v, inner))
-        brackets = "[]"
-    if not parts:
-        return brackets
+    for v in doc:
+        scalar = get(type(v))
+        parts.append(scalar(v) if scalar is not None else _render(v, inner, rendered))
     sep = ",\n" + inner
-    return f"{brackets[0]}\n{inner}{sep.join(parts)}\n{pad}{brackets[1]}"
+    return f"[\n{inner}{sep.join(parts)}\n{pad}]"
 
 
-def _render_steps(trace: Iterable[TraceStep], pad: str) -> str:
-    # trace steps as {"cite", "detail"} at pad, each one f-string, joined as
-    # a list's items are
+def _render_dict(doc: dict[str, Any], pad: str, rendered: _Rendered) -> str:
+    # Scalars and lists of ints, all that a row's params and a verdict's
+    # constraints hold, render in this loop; any other value through _render.
+    if not doc:
+        return "{}"
+    get, inner = _SCALARS.get, pad + "  "
+    item = ",\n" + inner + "  "
+    parts = []
+    for k, head in _key_order(tuple(doc)):
+        v = doc[k]
+        scalar = get(type(v))
+        if scalar is not None:
+            parts.append(head + scalar(v))
+            continue
+        if type(v) is list:
+            for x in v:
+                if type(x) is not int:
+                    break
+            else:
+                parts.append(f"{head}[\n{inner}  {item.join(map(int.__repr__, v))}\n{inner}]" if v else head + "[]")
+                continue
+        # one expression, so no local keeps a rendered child alive
+        parts.append(head + _render(v, inner, rendered))
+    sep = ",\n" + inner
+    return f"{{\n{inner}{sep.join(parts)}\n{pad}}}"
+
+
+def _render_steps(trace: Iterable[TraceStep], pad: str, rendered: _Rendered) -> str:
+    # trace steps as {"cite", "detail"} at pad, joined as a list's items
+    # are; each distinct step is rendered once per document
+    texts = rendered.get(pad)
+    if texts is None:
+        texts = rendered[pad] = {}
     inner, enc = pad + "  ", encode_basestring_ascii
-    return f",\n{pad}".join(
-        [f'{{\n{inner}"cite": {enc(s.cite)},\n{inner}"detail": {enc(s.detail)}\n{pad}}}' for s in trace]
-    )
+    parts = []
+    for s in trace:
+        text = texts.get(s)
+        if text is None:
+            text = texts[s] = f'{{\n{inner}"cite": {enc(s.cite)},\n{inner}"detail": {enc(s.detail)}\n{pad}}}'
+        parts.append(text)
+    return f",\n{pad}".join(parts)
 
 
-def _render_verdict(verdict: Verdict, pad: str) -> str:
-    # Verdict.to_json_dict()'s keys in sorted order; the constraints take
-    # the generic path
+def _render_verdict(verdict: Verdict, pad: str, rendered: _Rendered) -> str:
+    # Verdict.to_json_dict()'s keys in sorted order
     inner = pad + "  "
     constraints = verdict.constraints
     if constraints is None:
         constraints = "null"
     else:
         # a mapping renders as the dict that to_json_dict() copies it into
-        constraints = _render(constraints if type(constraints) is dict else dict(constraints), inner)
+        constraints = _render(
+            constraints if type(constraints) is dict else dict(constraints), inner, rendered
+        )
     head = (
         f'{{\n{inner}"constraints": {constraints},\n'
         f'{inner}"status": {encode_basestring_ascii(verdict.status)},\n{inner}"trace": '
@@ -166,26 +200,26 @@ def _render_verdict(verdict: Verdict, pad: str) -> str:
     if not verdict.trace:
         return f"{head}[]\n{pad}}}"
     step = inner + "  "
-    steps = _render_steps(verdict.trace, step)
+    steps = _render_steps(verdict.trace, step, rendered)
     return f"{head}[\n{step}{steps}\n{inner}]\n{pad}}}"
 
 
-def _render_row(row: ScanRow, pad: str) -> str:
+def _render_row(row: ScanRow, pad: str, rendered: _Rendered) -> str:
     # the row as {"error", "params", "verdict"}, its verdict as above
     inner = pad + "  "
-    error = "null" if row.error is None else _render(row.error, inner)
-    verdict = "null" if row.verdict is None else _render_verdict(row.verdict, inner)
+    error = "null" if row.error is None else _render(row.error, inner, rendered)
+    verdict = "null" if row.verdict is None else _render_verdict(row.verdict, inner, rendered)
     return (
         f'{{\n{inner}"error": {error},\n'
-        f'{inner}"params": {_render(row.params, inner)},\n'
+        f'{inner}"params": {_render(row.params, inner, rendered)},\n'
         f'{inner}"verdict": {verdict}\n{pad}}}'
     )
 
 
 # the result types whose fields are their JSON keys; they are NamedTuples,
 # so _render must look them up here before any tuple test
-_RESULTS: dict[type, Callable[[Any, str], str]] = {
-    TraceStep: lambda step, pad: _render_steps((step,), pad),
+_RESULTS: dict[type, Callable[[Any, str, _Rendered], str]] = {
+    TraceStep: lambda step, pad, rendered: _render_steps((step,), pad, rendered),
     Verdict: _render_verdict,
     ScanRow: _render_row,
 }
@@ -196,9 +230,10 @@ def canonical_json(doc: Any) -> str:
 
     Dict keys must be strings, which every document here has.  A TraceStep,
     Verdict or ScanRow renders as the dict of its fields (a Verdict as its
-    to_json_dict()) without building that dict.
+    to_json_dict()) without building that dict, and each distinct TraceStep
+    is rendered once however many verdicts of the document hold it.
     """
-    return _render(doc, "") + "\n"
+    return _render(doc, "", {}) + "\n"
 
 
 def round_float(x: float) -> float:

@@ -13,11 +13,17 @@ surjectivity flag, whether the family takes that flag, and the parameters
 a scan may leave out, each with the value it then takes from the others.
 `scan` and the command line's `check` and `scan` subcommands are all built
 from it.
+
+A scan builds each distinct trace step once: while `scan` runs, the steps
+and the folds behind them are kept by the parameters they read, and rows
+that read the same values share the same TraceStep objects.  A check
+called on its own builds every step afresh.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextvars import ContextVar
 from math import isqrt
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
@@ -122,9 +128,63 @@ def _check_limit(name: str, value: int, limit: int) -> None:
         raise ValueError(f"{name} = {value} is above the limit of {limit}")
 
 
-def _even_grading_candidates(N_e: int) -> list[int]:
-    # Even candidates for a Maslov number dividing 2 N_e, ascending.
-    return [N for N in _divisors(2 * N_e) if N % 2 == 0]
+# The values the running scan has built, by build function and typed arguments.
+# scan sets a fresh dict and resets it when it ends, so nothing is kept
+# between scans and a check called on its own builds everything.
+_SCAN_MEMO: ContextVar[dict[tuple, Any] | None] = ContextVar("lagcut_scan_memo", default=None)
+
+
+def _shared(build: Callable[..., Any], *args: Any) -> Any:
+    # build(*args), built once per scan for each distinct argument tuple.
+    # The key holds the argument types, as the ring memos do, so a step for
+    # True is not the step for 1.
+    memo = _SCAN_MEMO.get()
+    if memo is None:
+        return build(*args)
+    key = (build, *args, *map(type, args))
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = build(*args)
+    return value
+
+
+# trace steps whose text reads no parameter
+_TORUS_ORIENTABLE = TraceStep(
+    CITE_MASLOV_EVEN_ORIENTATION, "the torus is orientable, so its Maslov number N is even"
+)
+_TORUS_GRADING_TWO = TraceStep(
+    CITE_GRADING_TWO, "N = 2 cannot be excluded: every fold is 2-periodic mod 2"
+)
+_PRODUCT_ORIENTABLE = TraceStep(
+    CITE_MASLOV_EVEN_ORIENTATION, "a product of spheres is orientable, so N is even"
+)
+_SPHERE_GRADING_TWO = TraceStep(
+    CITE_GRADING_TWO, "N = 2: the period-2 shift is the identity, no information"
+)
+_EXACT_INDEX = TraceStep(CITE_MASLOV_EXACT, "an exact candidate of index m has N_L = 2m")
+_SURJECTIVITY = TraceStep(CITE_SURJECTIVITY, "surjectivity rule active: m = 1 forced")
+
+
+def _even_gradings(N_e: int) -> tuple[list[int], TraceStep]:
+    # The even candidates for a Maslov number dividing 2 N_e, ascending, and
+    # the step that lists them; callers only read the list.
+    candidates = [N for N in _divisors(2 * N_e) if N % 2 == 0]
+    step = TraceStep(
+        CITE_MASLOV_DIVIDES_TWICE_CHERN,
+        f"N divides 2 N_W = {2 * N_e}: candidates {candidates}",
+    )
+    return candidates, step
+
+
+def _seidel_step(N: int) -> TraceStep:
+    return TraceStep(
+        CITE_SEIDEL_PERIODICITY,
+        f"HF is Z/{N}-graded and 2-periodic (mod-{N} Maslov class vanishes)",
+    )
+
+
+def _index_size_step(d: int) -> TraceStep:
+    return TraceStep(CITE_INDEX_SIZE, f"2m <= d + 2 = {d + 2}")
 
 
 def _require_grading_divides(N: int, N_e: int) -> None:
@@ -156,10 +216,7 @@ def check_simply_connected_in_cut(d: int, N_e: int, N: int) -> Verdict:
             CITE_MASLOV_SIMPLY_CONNECTED,
             f"simply connected candidates have N_L = 2 N_W = {2 * N_e} >= N",
         ),
-        TraceStep(
-            CITE_SEIDEL_PERIODICITY,
-            f"HF is Z/{N}-graded and 2-periodic (mod-{N} Maslov class vanishes)",
-        ),
+        _seidel_step(N),
     ]
     # N_L >= N, so whenever the Maslov-range rule holds at N it holds at N_L
     if oh_profiles(d, N) == (EQUALS_COHOMOLOGY,):
@@ -219,6 +276,11 @@ def check_simply_connected_in_cut(d: int, N_e: int, N: int) -> Verdict:
     return Verdict(INCONCLUSIVE, None, tuple(trace))
 
 
+def _exact_divisors(N_e: int) -> tuple[list[int], TraceStep]:
+    # the divisors of N_e, which callers only read, and the step naming N_e
+    return _divisors(N_e), TraceStep(CITE_INDEX_DIVISOR, f"m divides N_e = {N_e}")
+
+
 def exact_verdict(d: int, N_e: int, use_surjectivity: bool = False) -> Verdict:
     """Admissible indices m for an exact candidate with zero Maslov class.
 
@@ -229,19 +291,14 @@ def exact_verdict(d: int, N_e: int, use_surjectivity: bool = False) -> Verdict:
     if N_e < 1:
         raise ValueError("N_e must be >= 1")
     _check_limit("N_e", N_e, MAX_DIVISOR_SEARCH)
-    admissible = [m for m in _divisors(N_e) if 2 * m <= d + 2]
+    divisors, divides = _shared(_exact_divisors, N_e)
+    admissible = [m for m in divisors if 2 * m <= d + 2]
     if use_surjectivity:
         admissible = [m for m in admissible if m == 1]
     h1_nonzero_forced = 2 * N_e > d + 2
-    trace = [
-        TraceStep(CITE_MASLOV_EXACT, "an exact candidate of index m has N_L = 2m"),
-        TraceStep(CITE_INDEX_DIVISOR, f"m divides N_e = {N_e}"),
-        TraceStep(CITE_INDEX_SIZE, f"2m <= d + 2 = {d + 2}"),
-    ]
+    trace = [_EXACT_INDEX, divides, _shared(_index_size_step, d)]
     if use_surjectivity:
-        trace.append(
-            TraceStep(CITE_SURJECTIVITY, "surjectivity rule active: m = 1 forced")
-        )
+        trace.append(_SURJECTIVITY)
     if h1_nonzero_forced:
         trace.append(
             TraceStep(
@@ -258,6 +315,68 @@ def exact_verdict(d: int, N_e: int, use_surjectivity: bool = False) -> Verdict:
     return Verdict(CONSTRAINED, constraints, tuple(trace))
 
 
+def _sphere_head(N_e: int) -> tuple[TraceStep, TraceStep]:
+    return (
+        TraceStep(CITE_CHERN_EQUALS_EULER, f"N_W = N_e = {N_e}"),
+        TraceStep(CITE_MASLOV_SIMPLY_CONNECTED, f"N_L = 2 N_W = {2 * N_e}"),
+    )
+
+
+def _sphere_local(d: int, N_e: int) -> tuple[tuple[TraceStep, ...], bool]:
+    # The steps the local and Maslov-range rules give at grading N > 2, and
+    # whether they force HF = H^*, which leaves the verdict to the fold.
+    n_l = 2 * N_e
+    if sphere_local_rule(d, N_e):
+        steps = [
+            TraceStep(
+                CITE_SPHERE_LOCAL_FLOER,
+                f"2 N_W = {n_l} does not divide d + 1 = {d + 1}: HF = H^*",
+            )
+        ]
+        # n_l does not divide d + 1 here, so n_l != d + 1 and the Maslov
+        # range gives (EQUALS_COHOMOLOGY,) or nothing
+        if oh_profiles(d, n_l):
+            steps.append(
+                TraceStep(
+                    CITE_OH_MASLOV_RANGE,
+                    f"also forced by the Maslov range: N_L = {n_l} >= d + 2 = {d + 2}",
+                )
+            )
+        return tuple(steps), True
+    if COHOMOLOGY_MINUS_ENDS in oh_profiles(d, n_l):
+        step = TraceStep(
+            CITE_OH_ADJACENT_RANGE,
+            f"N_L = d + 1 = {d + 1}: HF is H^* or H^* without the end "
+            "degrees, and the latter is trivial for a sphere, hence "
+            "always 2-periodic",
+        )
+        return (step,), False
+    step = TraceStep(
+        CITE_LOCAL_RULE_UNAVAILABLE,
+        f"2 N_W = {n_l} divides d + 1 = {d + 1} and N_L < d + 1: "
+        "no rule pins HF down",
+    )
+    return (step,), False
+
+
+def _sphere_fold(d: int, N: int) -> tuple[tuple[TraceStep, ...], str]:
+    # the fold of the d-sphere at grading N: its steps and the status it gives
+    profile = fold_mod(make_sphere(d), N)
+    periodic = is_two_periodic(profile)
+    step = TraceStep(
+        CITE_FOLD_PERIODICITY,
+        f"S = {profile}: 2-periodic = {periodic}" + ("" if periodic else ", contradiction"),
+    )
+    if not periodic:
+        return (step,), OBSTRUCTED
+    exception = TraceStep(
+        CITE_GRADING_FOUR_EXCEPTION,
+        f"N = {N}, d = {d}: the fold is 2-periodic (d = 2 mod 4 "
+        "at grading 4), periodicity cannot exclude the sphere",
+    )
+    return (step, exception), INCONCLUSIVE
+
+
 def check_sphere(d: int, N_e: int, N: int) -> Verdict:
     """Obstruction pipeline for a sphere candidate at grading N."""
     if d < 2:
@@ -268,78 +387,48 @@ def check_sphere(d: int, N_e: int, N: int) -> Verdict:
         raise ValueError("grading N must be >= 2")
     _require_grading_divides(N, N_e)
     _check_limit("grading N", N, MAX_FOLD_MODULUS)
-    n_l = 2 * N_e
-    trace = [
-        TraceStep(CITE_CHERN_EQUALS_EULER, f"N_W = N_e = {N_e}"),
-        TraceStep(CITE_MASLOV_SIMPLY_CONNECTED, f"N_L = 2 N_W = {n_l}"),
-        TraceStep(
-            CITE_SEIDEL_PERIODICITY,
-            f"HF is Z/{N}-graded and 2-periodic (mod-{N} Maslov class vanishes)",
-        ),
-    ]
+    trace = (*_shared(_sphere_head, N_e), _shared(_seidel_step, N))
     if N == 2:
-        trace.append(
-            TraceStep(
-                CITE_GRADING_TWO,
-                "N = 2: the period-2 shift is the identity, no information",
-            )
-        )
-        return Verdict(INCONCLUSIVE, None, tuple(trace))
+        return Verdict(INCONCLUSIVE, None, (*trace, _SPHERE_GRADING_TWO))
+    steps, forced = _shared(_sphere_local, d, N_e)
+    if not forced:
+        return Verdict(INCONCLUSIVE, None, trace + steps)
+    fold, status = _shared(_sphere_fold, d, N)
+    return Verdict(status, None, trace + steps + fold)
 
-    if sphere_local_rule(d, N_e):
-        trace.append(
-            TraceStep(
-                CITE_SPHERE_LOCAL_FLOER,
-                f"2 N_W = {n_l} does not divide d + 1 = {d + 1}: HF = H^*",
-            )
-        )
-        # n_l does not divide d + 1 here, so n_l != d + 1 and the Maslov
-        # range gives (EQUALS_COHOMOLOGY,) or nothing
-        if oh_profiles(d, n_l):
-            trace.append(
-                TraceStep(
-                    CITE_OH_MASLOV_RANGE,
-                    f"also forced by the Maslov range: N_L = {n_l} >= d + 2 = {d + 2}",
-                )
-            )
-        profile = fold_mod(make_sphere(d), N)
-        periodic = is_two_periodic(profile)
-        trace.append(
-            TraceStep(
-                CITE_FOLD_PERIODICITY,
-                f"S = {profile}: 2-periodic = {periodic}"
-                + ("" if periodic else ", contradiction"),
-            )
-        )
-        if periodic:
-            trace.append(
-                TraceStep(
-                    CITE_GRADING_FOUR_EXCEPTION,
-                    f"N = {N}, d = {d}: the fold is 2-periodic (d = 2 mod 4 "
-                    "at grading 4), periodicity cannot exclude the sphere",
-                )
-            )
-            return Verdict(INCONCLUSIVE, None, tuple(trace))
-        return Verdict(OBSTRUCTED, None, tuple(trace))
 
-    if COHOMOLOGY_MINUS_ENDS in oh_profiles(d, n_l):
-        trace.append(
-            TraceStep(
-                CITE_OH_ADJACENT_RANGE,
-                f"N_L = d + 1 = {d + 1}: HF is H^* or H^* without the end "
-                "degrees, and the latter is trivial for a sphere, hence "
-                "always 2-periodic",
-            )
-        )
-        return Verdict(INCONCLUSIVE, None, tuple(trace))
-    trace.append(
-        TraceStep(
-            CITE_LOCAL_RULE_UNAVAILABLE,
-            f"2 N_W = {n_l} divides d + 1 = {d + 1} and N_L < d + 1: "
-            "no rule pins HF down",
-        )
+def _torus_grading(d: int, N: int) -> tuple[TraceStep, TraceStep, bool]:
+    # The collapse and fold steps of the d-torus at an even grading N >= 4,
+    # and whether the grading is retained.
+    ring = make_torus(d)
+    # always valid: degree-1 generators and N >= 4 make every target 2 - rN < 0
+    nu = ss_collapse_certificate(ring, N)
+    collapse = TraceStep(
+        CITE_COLLAPSE_CERTIFICATE,
+        f"N = {N}: all differential targets from degree-1 generators "
+        f"are empty (nu = {nu}), so HF = H^*",
     )
-    return Verdict(INCONCLUSIVE, None, tuple(trace))
+    # For even N the even and odd binomial sums are each 2^(d-1), so
+    # the fold is 2-periodic exactly when it equidistributes.
+    profile = fold_mod(ring, N)
+    ns0 = N * profile[0]
+    if is_two_periodic(profile):
+        fold = TraceStep(
+            CITE_FOLD_PERIODICITY,
+            f"N = {N}: folded dimensions equidistribute "
+            f"(N*S_0 = {ns0} = 2^d), grading retained",
+        )
+        return collapse, fold, True
+    fold = TraceStep(
+        CITE_FOLD_PERIODICITY,
+        f"N = {N}: S = {profile} is not equidistributed "
+        f"(N*S_0 = {ns0}, 2^d = {1 << d}): excluded",
+    )
+    return collapse, fold, False
+
+
+def _maslov_numbers_step(retained: tuple[int, ...]) -> TraceStep:
+    return TraceStep(CITE_MASLOV_BOUND, f"admissible Maslov numbers: {sorted(retained)}")
 
 
 def check_torus(d: int, N_e: int) -> Verdict:
@@ -349,63 +438,66 @@ def check_torus(d: int, N_e: int) -> Verdict:
     if N_e < 1:
         raise ValueError("N_e must be >= 1")
     _check_limit("2 N_e", 2 * N_e, MAX_FOLD_MODULUS)
-    ring = make_torus(d)
-    candidates = _even_grading_candidates(N_e)
-    trace = [
-        TraceStep(
-            CITE_MASLOV_EVEN_ORIENTATION,
-            "the torus is orientable, so its Maslov number N is even",
-        ),
-        TraceStep(
-            CITE_MASLOV_DIVIDES_TWICE_CHERN,
-            f"N divides 2 N_W = {2 * N_e}: candidates {candidates}",
-        ),
-        TraceStep(
-            CITE_GRADING_TWO,
-            "N = 2 cannot be excluded: every fold is 2-periodic mod 2",
-        ),
-    ]
+    # refuses d above MAX_TORUS_DIM, whether or not a grading folds it
+    make_torus(d)
+    candidates, divides = _shared(_even_gradings, N_e)
+    trace = [_TORUS_ORIENTABLE, divides, _TORUS_GRADING_TWO]
     retained = [2]
     for N in candidates:
         if N < 4:
             continue
-        # always valid: degree-1 generators and N >= 4 make every target 2 - rN < 0
-        nu = ss_collapse_certificate(ring, N)
-        trace.append(
-            TraceStep(
-                CITE_COLLAPSE_CERTIFICATE,
-                f"N = {N}: all differential targets from degree-1 generators "
-                f"are empty (nu = {nu}), so HF = H^*",
-            )
-        )
-        # For even N the even and odd binomial sums are each 2^(d-1), so
-        # the fold is 2-periodic exactly when it equidistributes.
-        profile = fold_mod(ring, N)
-        ns0 = N * profile[0]
-        if is_two_periodic(profile):
+        collapse, fold, periodic = _shared(_torus_grading, d, N)
+        trace += (collapse, fold)
+        if periodic:
             retained.append(N)
-            trace.append(
-                TraceStep(
-                    CITE_FOLD_PERIODICITY,
-                    f"N = {N}: folded dimensions equidistribute "
-                    f"(N*S_0 = {ns0} = 2^d), grading retained",
-                )
-            )
-        else:
-            trace.append(
-                TraceStep(
-                    CITE_FOLD_PERIODICITY,
-                    f"N = {N}: S = {profile} is not equidistributed "
-                    f"(N*S_0 = {ns0}, 2^d = {1 << d}): excluded",
-                )
-            )
-    trace.append(
-        TraceStep(CITE_MASLOV_BOUND, f"admissible Maslov numbers: {sorted(retained)}")
-    )
+    trace.append(_shared(_maslov_numbers_step, tuple(retained)))
     return Verdict(CONSTRAINED, {"N": sorted(retained)}, tuple(trace))
 
 
 _PRODUCT_EXCEPTIONS = {(1, 2), (4, 6)}
+
+
+def _product_grading(l: int, m: int, N: int) -> tuple[tuple[TraceStep, ...], bool, bool]:
+    # The steps of S^l x S^m at an even grading N above the bound m + 1,
+    # whether N stays admissible, and whether the fold and the bound
+    # disagree there.
+    ring = make_product_spheres(l, m)
+    # collapse holds: N >= m + 2 puts every target g + 1 - rN below 0
+    targets = sorted({g + 1 - N for g in set(ring.generator_degrees)})
+    collapse = TraceStep(
+        CITE_COLLAPSE_CERTIFICATE,
+        f"N = {N}: generator targets {targets} are all empty, HF = H^*",
+    )
+    profile = fold_mod(ring, N)
+    if not is_two_periodic(profile):
+        step = TraceStep(
+            CITE_FOLD_PERIODICITY,
+            f"N = {N}: S = {profile} is not 2-periodic: excluded",
+        )
+        return (collapse, step), False, False
+    if l < m and N == m + 2 and (l, m) in _PRODUCT_EXCEPTIONS:
+        step = TraceStep(
+            CITE_EXCEPTIONAL_RETAINED,
+            f"N = {N}: S = {profile} is 2-periodic; the "
+            f"exceptional shape (l, m) = ({l}, {m}) is retained at "
+            "the boundary grading",
+        )
+        return (collapse, step), True, False
+    if l == m:
+        step = TraceStep(
+            CITE_FOLD_DISCREPANCY,
+            f"N = {N}: DISCREPANCY: S = {profile} is 2-periodic "
+            "although the equal-factor case is asserted obstructed; "
+            "the raw fold is reported and the conflict flagged",
+        )
+        return (collapse, step), True, True
+    step = TraceStep(
+        CITE_FOLD_DISCREPANCY,
+        f"N = {N}: DISCREPANCY: S = {profile} is 2-periodic "
+        f"yet the bound N <= {m + 1} excludes this grading; the "
+        "bound is applied and the conflict flagged",
+    )
+    return (collapse, step), False, True
 
 
 def check_product_spheres(l: int, m: int, N_e: int) -> Verdict:
@@ -421,19 +513,11 @@ def check_product_spheres(l: int, m: int, N_e: int) -> Verdict:
     if N_e < 1:
         raise ValueError("N_e must be >= 1")
     _check_limit("2 N_e", 2 * N_e, MAX_FOLD_MODULUS)
-    ring = make_product_spheres(l, m)
-    candidates = _even_grading_candidates(N_e)
+    # refuses a ring too large to check, whether or not a grading folds it
+    make_product_spheres(l, m)
+    candidates, divides = _shared(_even_gradings, N_e)
     bound = m + 1
-    trace = [
-        TraceStep(
-            CITE_MASLOV_EVEN_ORIENTATION,
-            "a product of spheres is orientable, so N is even",
-        ),
-        TraceStep(
-            CITE_MASLOV_DIVIDES_TWICE_CHERN,
-            f"N divides 2 N_W = {2 * N_e}: candidates {candidates}",
-        ),
-    ]
+    trace = [_PRODUCT_ORIENTABLE, divides]
     admissible: list[int] = []
     excluded: list[int] = []
     discrepancy: list[int] = []
@@ -441,57 +525,11 @@ def check_product_spheres(l: int, m: int, N_e: int) -> Verdict:
         if N <= bound:
             admissible.append(N)
             continue
-        # collapse holds: N >= m + 2 puts every target g + 1 - rN below 0
-        targets = sorted({g + 1 - N for g in set(ring.generator_degrees)})
-        trace.append(
-            TraceStep(
-                CITE_COLLAPSE_CERTIFICATE,
-                f"N = {N}: generator targets {targets} are all empty, HF = H^*",
-            )
-        )
-        profile = fold_mod(ring, N)
-        periodic = is_two_periodic(profile)
-        if not periodic:
-            excluded.append(N)
-            trace.append(
-                TraceStep(
-                    CITE_FOLD_PERIODICITY,
-                    f"N = {N}: S = {profile} is not 2-periodic: excluded",
-                )
-            )
-            continue
-        if l < m and N == m + 2 and (l, m) in _PRODUCT_EXCEPTIONS:
-            admissible.append(N)
-            trace.append(
-                TraceStep(
-                    CITE_EXCEPTIONAL_RETAINED,
-                    f"N = {N}: S = {profile} is 2-periodic; the "
-                    f"exceptional shape (l, m) = ({l}, {m}) is retained at "
-                    "the boundary grading",
-                )
-            )
-        elif l == m:
-            admissible.append(N)
+        steps, kept, flagged = _shared(_product_grading, l, m, N)
+        trace += steps
+        (admissible if kept else excluded).append(N)
+        if flagged:
             discrepancy.append(N)
-            trace.append(
-                TraceStep(
-                    CITE_FOLD_DISCREPANCY,
-                    f"N = {N}: DISCREPANCY: S = {profile} is 2-periodic "
-                    "although the equal-factor case is asserted obstructed; "
-                    "the raw fold is reported and the conflict flagged",
-                )
-            )
-        else:
-            excluded.append(N)
-            discrepancy.append(N)
-            trace.append(
-                TraceStep(
-                    CITE_FOLD_DISCREPANCY,
-                    f"N = {N}: DISCREPANCY: S = {profile} is 2-periodic "
-                    f"yet the bound N <= {bound} excludes this grading; the "
-                    "bound is applied and the conflict flagged",
-                )
-            )
     exceptional = [x for x in admissible if x >= m + 2 and l < m]
     trace.append(
         TraceStep(
@@ -510,6 +548,24 @@ def check_product_spheres(l: int, m: int, N_e: int) -> Verdict:
     return Verdict(CONSTRAINED, constraints, tuple(trace))
 
 
+def _lens_divisors(p: int) -> tuple[list[int], TraceStep]:
+    # the divisors of p, which callers only read, and the step naming p
+    return _divisors(p), TraceStep(CITE_INDEX_DIVISOR, f"m divides p = {p}")
+
+
+def _lens_dimension(n: int) -> tuple[TraceStep, TraceStep, TraceStep]:
+    # the three steps that read only the dimension d = 2n + 1
+    d = 2 * n + 1
+    return (
+        TraceStep(CITE_MASLOV_EXACT, f"dimension d = 2n + 1 = {d}, N_L = 2m"),
+        _index_size_step(d),
+        TraceStep(
+            CITE_INDEX_PARITY,
+            f"2m = {d + 2} is odd and cannot be realised, so m <= n + 1 = {n + 1}",
+        ),
+    )
+
+
 def check_lens(p: int, n: int) -> Verdict:
     """Admissible indices for lens-space candidates of dimension 2n + 1."""
     if p < 2:
@@ -517,19 +573,11 @@ def check_lens(p: int, n: int) -> Verdict:
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_limit("p", p, MAX_DIVISOR_SEARCH)
-    d = 2 * n + 1
-    divisors = _divisors(p)
+    divisors, divides = _shared(_lens_divisors, p)
     # m divides p and 2m <= d + 2 = 2n + 3, that is m <= n + 1
     admissible = [m for m in divisors if m <= n + 1]
-    trace = [
-        TraceStep(CITE_MASLOV_EXACT, f"dimension d = 2n + 1 = {d}, N_L = 2m"),
-        TraceStep(CITE_INDEX_DIVISOR, f"m divides p = {p}"),
-        TraceStep(CITE_INDEX_SIZE, f"2m <= d + 2 = {d + 2}"),
-        TraceStep(
-            CITE_INDEX_PARITY,
-            f"2m = {d + 2} is odd and cannot be realised, so m <= n + 1 = {n + 1}",
-        ),
-    ]
+    exact, size, parity = _shared(_lens_dimension, n)
+    trace = [exact, divides, size, parity]
     # p >= 2 is prime exactly when its only divisors are 1 and p
     if len(divisors) == 2 and p > n + 1:
         trace.append(
@@ -577,6 +625,8 @@ def scan(
     Rows whose parameters violate a check's hypotheses or fall outside its
     domain are kept in place with the violated rule recorded (cite
     "usage-error" for the latter), so one bad row never aborts a sweep.
+    A range value that is not an int is a ValueError before any row runs.
+    Rows that read the same values share their TraceStep objects.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -590,19 +640,30 @@ def scan(
         unknown.add("surjectivity")
     if unknown:
         raise ValueError(f"family {family!r} does not take {sorted(unknown)}")
-    axes = [sorted(set(ranges[p])) for p in order if p in ranges]
     names = [p for p in order if p in ranges]
+    # each range is read once, and a value that is not an int refuses the
+    # whole grid before any row runs
+    values = [list(ranges[p]) for p in names]
+    for name, axis in zip(names, values):
+        for value in axis:
+            if not isinstance(value, int):
+                raise ValueError(f"scan parameter {name!r} takes integers, not {value!r}")
+    axes = [sorted(set(axis)) for axis in values]
     rows: list[ScanRow] = []
-    for combo in itertools.product(*axes):
-        params = dict(zip(names, combo))
-        for name, default in defaults.items():
-            if name not in params:
-                params[name] = default(params)
-        try:
-            verdict = check(params, use_surjectivity)
-            rows.append(ScanRow(params=params, verdict=verdict, error=None))
-        except (HypothesisViolation, ValueError) as exc:
-            cite = exc.cite if isinstance(exc, HypothesisViolation) else "usage-error"
-            error = {"cite": cite, "message": str(exc)}
-            rows.append(ScanRow(params=params, verdict=None, error=error))
+    token = _SCAN_MEMO.set({})
+    try:
+        for combo in itertools.product(*axes):
+            params = dict(zip(names, combo))
+            for name, default in defaults.items():
+                if name not in params:
+                    params[name] = default(params)
+            try:
+                verdict = check(params, use_surjectivity)
+                rows.append(ScanRow(params=params, verdict=verdict, error=None))
+            except (HypothesisViolation, ValueError) as exc:
+                cite = exc.cite if isinstance(exc, HypothesisViolation) else "usage-error"
+                error = {"cite": cite, "message": str(exc)}
+                rows.append(ScanRow(params=params, verdict=None, error=error))
+    finally:
+        _SCAN_MEMO.reset(token)
     return rows

@@ -154,7 +154,11 @@ def test_canonical_json_renders_results_as_their_dict_form(step, verdict, row, r
 def test_canonical_json_renders_results_in_tuples_and_lists_as_dicts(step, verdict, row):
     # the records are tuples themselves: each must still render as its dict
     # form, never as a JSON array, wherever it sits
-    for doc in ((step, verdict, row), [step, verdict, row], ((row,),), {"rows": (row, row)}):
+    # one step object at several depths and in many verdicts, as the rows
+    # of a scan share their steps
+    shared = verdict._replace(trace=(step, *verdict.trace, step))
+    many = {"step": step, "verdicts": [shared, shared], "rows": [row._replace(verdict=shared, error=None)] * 2}
+    for doc in ((step, verdict, row), [step, verdict, row], ((row,),), {"rows": (row, row)}, many):
         assert canonical_json(doc) == tree_json(doc)
     for record in (step, verdict, row):
         for doc in ((record,), [record]):

@@ -1,10 +1,15 @@
 """Tests for the verdict pipelines and the parameter-grid scanner."""
 
+import collections
 import functools
 import json
+import math
+import re
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagcut import coring, obstruct
 from lagcut.cli import run
@@ -477,6 +482,149 @@ def test_torus_scan_builds_each_distinct_ring_once(monkeypatch):
     assert len(rows) == 6 * 24
     assert built == [3, 4, 5, 6, 7, 8]
     coring._torus.cache_clear()
+
+
+def counting(monkeypatch, module, name):
+    # rebind module.name to a wrapper that records each call's arguments
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def even_gradings_from_four(N_e):
+    return [N for N in range(4, 2 * N_e + 1, 2) if (2 * N_e) % N == 0]
+
+
+def test_torus_scan_folds_each_distinct_ring_and_grading_once(monkeypatch):
+    folds = counting(monkeypatch, obstruct, "fold_mod")
+    certificates = counting(monkeypatch, obstruct, "ss_collapse_certificate")
+    rows = scan("torus", {"d": range(3, 9), "euler": range(1, 25)})
+    assert len(rows) == 6 * 24
+    expected = collections.Counter(
+        (d, N) for d in range(3, 9) for N in {N for e in range(1, 25) for N in even_gradings_from_four(e)}
+    )
+    assert collections.Counter((ring.dim, N) for ring, N in folds) == expected
+    assert collections.Counter((ring.dim, N) for ring, N in certificates) == expected
+
+
+def test_rows_share_the_steps_that_read_the_same_values():
+    rows = scan("lens", {"p": [7, 11], "n": [2, 3]})
+    # rows (7, 2) and (11, 2) read the same n; (7, 2) and (7, 3) the same p
+    by_params = {(r.params["p"], r.params["n"]): r.verdict.trace for r in rows}
+    assert by_params[7, 2][0] is by_params[11, 2][0]
+    assert by_params[7, 2][1] is by_params[7, 3][1]
+    assert by_params[7, 2][1] is not by_params[11, 2][1]
+    # each row keeps its own constraints
+    assert rows[0].verdict.constraints is not rows[1].verdict.constraints
+
+
+def check_torus_folds(monkeypatch, d, N_e):
+    folds = counting(monkeypatch, obstruct, "fold_mod")
+    first = check_torus(d, N_e)
+    second = check_torus(d, N_e)
+    assert first == second
+    return len(folds)
+
+
+def test_no_memo_outlives_a_scan_that_returns(monkeypatch):
+    scan("torus", {"d": [6], "euler": [12]})
+    assert obstruct._SCAN_MEMO.get() is None
+    # 2 N_e = 24 has the gradings 4, 6, 8, 12 and 24, folded by each call
+    assert check_torus_folds(monkeypatch, 6, 12) == 2 * 5
+
+
+def test_no_memo_outlives_a_scan_that_raises(monkeypatch):
+    calls = []
+
+    def failing_fold(ring, N):
+        calls.append(N)
+        if len(calls) == 3:
+            raise RuntimeError("fold failed")
+        return fold_mod(ring, N)
+
+    monkeypatch.setattr(obstruct, "fold_mod", failing_fold)
+    with pytest.raises(RuntimeError, match="fold failed"):
+        scan("torus", {"d": [6, 7], "euler": [12]})
+    monkeypatch.undo()
+    assert obstruct._SCAN_MEMO.get() is None
+    assert check_torus_folds(monkeypatch, 6, 12) == 2 * 5
+
+
+@pytest.mark.parametrize(
+    "family, check, ranges, name, value",
+    [
+        ("lens", "check_lens", {"p": [2.5], "n": [1]}, "p", "2.5"),
+        ("torus", "check_torus", {"d": ["3"], "euler": [1]}, "d", "'3'"),
+        ("sphere", "check_sphere", {"d": [5, 6], "euler": [2], "grading": [4, None]}, "grading", "None"),
+        ("exact", "exact_verdict", {"d": range(2, 5), "euler": (1, 2.0)}, "euler", "2.0"),
+    ],
+)
+def test_scan_refuses_a_value_that_is_not_an_int_before_any_row(monkeypatch, family, check, ranges, name, value):
+    checks = counting(monkeypatch, obstruct, check)
+    message = f"scan parameter '{name}' takes integers, not {value}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        scan(family, ranges)
+    assert checks == []
+
+
+# -------------------------------------------- scans equal checks, row by row
+
+DIRECT_CHECKS = {
+    "sphere": lambda p, s: check_sphere(p["d"], p["euler"], p["grading"]),
+    "torus": lambda p, s: check_torus(p["d"], p["euler"]),
+    "prodsph": lambda p, s: check_product_spheres(p["l"], p["m"], p["euler"]),
+    "lens": lambda p, s: check_lens(p["p"], p["n"]),
+    "exact": lambda p, s: exact_verdict(p["d"], p["euler"], s),
+}
+
+
+def values(lo, hi):
+    return st.lists(st.integers(lo, hi), min_size=1, max_size=4)
+
+
+# small grids with values out of each domain, l > m, gradings that do not
+# divide 2 N_e, and a sphere grading left to its default
+small_grids = st.one_of(
+    st.tuples(
+        st.just("sphere"),
+        st.fixed_dictionaries({"d": values(0, 12), "euler": values(0, 8)}, optional={"grading": values(0, 18)}),
+        st.just(False),
+    ),
+    st.tuples(st.just("torus"), st.fixed_dictionaries({"d": values(0, 14), "euler": values(0, 30)}), st.just(False)),
+    st.tuples(
+        st.just("prodsph"),
+        st.fixed_dictionaries({"l": values(0, 8), "m": values(0, 9), "euler": values(0, 30)}),
+        st.just(False),
+    ),
+    st.tuples(st.just("lens"), st.fixed_dictionaries({"p": values(0, 60), "n": values(0, 8)}), st.just(False)),
+    st.tuples(st.just("exact"), st.fixed_dictionaries({"d": values(0, 20), "euler": values(0, 60)}), st.booleans()),
+)
+
+
+def direct(family, params, use_surjectivity):
+    try:
+        return DIRECT_CHECKS[family](params, use_surjectivity).to_json_dict(), None
+    except HypothesisViolation as exc:
+        return None, {"cite": exc.cite, "message": str(exc)}
+    except ValueError as exc:
+        return None, {"cite": "usage-error", "message": str(exc)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_grids)
+def test_every_scan_row_equals_a_direct_check(grid):
+    family, ranges, use_surjectivity = grid
+    rows = scan(family, ranges, use_surjectivity)
+    assert len(rows) == math.prod(len(set(v)) for v in ranges.values())
+    for row in rows:
+        verdict, error = direct(family, row.params, use_surjectivity)
+        assert (None if row.verdict is None else row.verdict.to_json_dict(), row.error) == (verdict, error)
 
 
 def test_scan_validates_family_and_parameters():
