@@ -68,6 +68,17 @@ SCANS = [
     ["--family", "exact", "--d", "1..9", "--euler", "0..7", "--surjectivity"],
 ]
 
+# folds with long zero runs, and folds at N <= dim that wrap the ring around
+LARGE_FOLDS = [
+    ["check", "torus", "--d", "64", "--euler", "720720"],
+    ["check", "torus", "--d", "3", "--euler", "5040"],
+    ["check", "prodsph", "--l", "100", "--m", "200", "--euler", "720720"],
+    ["check", "prodsph", "--l", "9", "--m", "9", "--euler", "360"],
+    ["check", "sphere", "--d", "2097153", "--euler", "1048576", "--grading", "2097152"],
+    ["check", "sphere", "--d", "25", "--euler", "6", "--grading", "12"],
+    ["fold", "--candidate", "torus:d=5", "--modulus", "4096"],
+]
+
 CANDIDATES = [
     "sphere:d=0",
     "sphere:d=1",
@@ -94,6 +105,7 @@ def grid() -> list[list[str]]:
     """Every argv the golden file pins, formats included."""
     argvs = _check_grid()
     argvs += [["scan", *args] for args in SCANS]
+    argvs += LARGE_FOLDS
     for candidate, modulus in itertools.product(CANDIDATES, (0, 1, 2, 3, 4, 8)):
         argvs.append(["fold", "--candidate", candidate, "--modulus", str(modulus)])
     for euler, level, dim in itertools.product((0, 1, 2, 3), ("-1/2", "-3/4", "0", "1/2", "-2"), (3, 5)):
