@@ -29,19 +29,41 @@ class TorusIdentityReport(NamedTuple):
     sums: tuple[int, ...]
 
 
-def _fold_pairs(pairs: Iterable[tuple[int, int]], N: int) -> tuple[int, ...]:
-    # S_j = sum of the dimensions b over the pairs (k, b) with k = j mod N
+def _fold_pairs(pairs: Iterable[tuple[int, int]], N: int) -> dict[int, int]:
+    # {j: S_j} for the nonzero S_j, S_j summing the dimensions b > 0 of the pairs (k, b), k = j mod N
     if N < 1:
         raise InvalidModulusError("invalid-modulus: N must be >= 1")
-    out = [0] * N
+    out: dict[int, int] = {}
     for k, b in pairs:
-        out[k % N] += b
+        j = k % N
+        out[j] = out.get(j, 0) + b
+    return out
+
+
+def _dense(pairs: Iterable[tuple[int, int]], N: int) -> tuple[int, ...]:
+    out = [0] * N
+    for j, s in _fold_pairs(pairs, N).items():
+        out[j] = s
     return tuple(out)
 
 
 def fold_mod(ring: CohomologyRing, N: int) -> tuple[int, ...]:
     """Fold the Betti numbers of a ring into the Z/N grading: S_0..S_{N-1}."""
-    return _fold_pairs(ring.support, N)
+    return _dense(ring.support, N)
+
+
+def _fold_ring(ring: CohomologyRing, N: int) -> tuple[str, bool, int]:
+    # repr(fold_mod(ring, N)), whether it is 2-periodic, and S_0, in O(|support|) steps.  The
+    # shift by 2 permutes Z/N, so if it keeps S on the nonzero residues it keeps the zero ones.
+    residues = _fold_pairs(ring.support, N)
+    periodic = all(residues.get((j + 2) % N) == s for j, s in residues.items())
+    # b_0 = 1, so S_0 opens the text; each run of zeros is written at once
+    parts, last = [f"({residues[0]}"], 0
+    for j in sorted(residues)[1:]:
+        parts += (", 0" * (j - last - 1), f", {residues[j]}")
+        last = j
+    parts.append(", 0" * (N - 1 - last) + (",)" if N == 1 else ")"))
+    return "".join(parts), periodic, residues[0]
 
 
 def is_two_periodic(dims: Sequence[int]) -> bool:
@@ -52,7 +74,7 @@ def is_two_periodic(dims: Sequence[int]) -> bool:
 
 def binomial_fold_sums(d: int, N: int) -> tuple[int, ...]:
     """Exact S_0(d, N), ..., S_{N-1}(d, N), where S_j sums C(d, j + k*N) over k."""
-    return _fold_pairs(enumerate(binomial_row(d)), N)
+    return _dense(enumerate(binomial_row(d)), N)
 
 
 def torus_identity_check(d: int, N: int) -> TorusIdentityReport:

@@ -28,7 +28,7 @@ from math import isqrt
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .coring import make_complex_projective, make_product_spheres, make_sphere, make_torus
-from .fold import fold_mod, is_two_periodic
+from .fold import _fold_ring
 from .floer import (
     COHOMOLOGY_MINUS_ENDS,
     EQUALS_COHOMOLOGY,
@@ -39,11 +39,11 @@ from .floer import (
 
 # Largest grading a check folds into: 2 N_e for check_torus and
 # check_product_spheres, which fold at every even divisor N of 2 N_e, and
-# the grading N of check_sphere.  Each fold allocates N entries and its
-# trace prints them.  At 2 N_e = 2,096,640, the even number under the limit
-# with the largest sum of even divisors, `check torus --d 64 --format json`
-# takes 1.3 s and 160 MB and prints 27 MB; check_sphere at N = 2^21 takes
-# 0.35 s.
+# the grading N of check_sphere.  A fold reads only its nonzero residues but
+# its trace prints all N entries.  At 2 N_e = 2,096,640, the even number under
+# the limit with the largest sum of even divisors, `check torus --d 64 --format
+# json` takes 0.2-0.3 s and 140 MB, nearly all for the 27 MB it prints; `check
+# sphere` at N = 2^21 takes 0.06 s (cli.run, CPython 3.11, 2-core VM).
 MAX_FOLD_MODULUS = 1 << 21
 
 # Largest number whose divisors a check enumerates in O(sqrt(n)) steps: p
@@ -361,8 +361,7 @@ def _sphere_local(d: int, N_e: int) -> tuple[tuple[TraceStep, ...], bool]:
 
 def _sphere_fold(d: int, N: int) -> tuple[tuple[TraceStep, ...], str]:
     # the fold of the d-sphere at grading N: its steps and the status it gives
-    profile = fold_mod(make_sphere(d), N)
-    periodic = is_two_periodic(profile)
+    profile, periodic, _ = _fold_ring(make_sphere(d), N)
     step = TraceStep(
         CITE_FOLD_PERIODICITY,
         f"S = {profile}: 2-periodic = {periodic}" + ("" if periodic else ", contradiction"),
@@ -410,19 +409,18 @@ def _torus_grading(d: int, N: int) -> tuple[TraceStep, TraceStep, bool]:
     )
     # For even N the even and odd binomial sums are each 2^(d-1), so
     # the fold is 2-periodic exactly when it equidistributes.
-    profile = fold_mod(ring, N)
-    ns0 = N * profile[0]
-    if is_two_periodic(profile):
+    profile, periodic, s0 = _fold_ring(ring, N)
+    if periodic:
         fold = TraceStep(
             CITE_FOLD_PERIODICITY,
             f"N = {N}: folded dimensions equidistribute "
-            f"(N*S_0 = {ns0} = 2^d), grading retained",
+            f"(N*S_0 = {N * s0} = 2^d), grading retained",
         )
         return collapse, fold, True
     fold = TraceStep(
         CITE_FOLD_PERIODICITY,
         f"N = {N}: S = {profile} is not equidistributed "
-        f"(N*S_0 = {ns0}, 2^d = {1 << d}): excluded",
+        f"(N*S_0 = {N * s0}, 2^d = {1 << d}): excluded",
     )
     return collapse, fold, False
 
@@ -468,8 +466,8 @@ def _product_grading(l: int, m: int, N: int) -> tuple[tuple[TraceStep, ...], boo
         CITE_COLLAPSE_CERTIFICATE,
         f"N = {N}: generator targets {targets} are all empty, HF = H^*",
     )
-    profile = fold_mod(ring, N)
-    if not is_two_periodic(profile):
+    profile, periodic, _ = _fold_ring(ring, N)
+    if not periodic:
         step = TraceStep(
             CITE_FOLD_PERIODICITY,
             f"N = {N}: S = {profile} is not 2-periodic: excluded",

@@ -3,16 +3,21 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lagcut.coring import (
     MAX_TORUS_DIM,
     InvalidRingError,
+    make_complex_projective,
     make_custom,
+    make_product_spheres,
     make_sphere,
     make_torus,
 )
 from lagcut.fold import (
     InvalidModulusError,
+    _fold_ring,
     binomial_fold_sums,
     fold_mod,
     is_two_periodic,
@@ -44,6 +49,36 @@ def test_fold_preserves_total_dimension():
         assert type(profile) is tuple
         assert sum(profile) == sum(dims)
         assert list(profile) == brute_fold(dims, N)
+
+
+def dual_vectors():
+    # Poincare-dual Betti vectors, every degree generated by a degree-1 class
+    half = st.lists(st.integers(0, 4), max_size=12)
+    middle = st.lists(st.integers(0, 4), max_size=1)
+    return st.builds(lambda h, m: [1, *h, *m, *h[::-1], 1], half, middle)
+
+
+rings = st.one_of(
+    st.integers(1, 60).map(make_sphere),
+    st.integers(1, 40).map(make_torus),
+    st.tuples(st.integers(1, 30), st.integers(1, 30)).map(lambda t: make_product_spheres(t[0], t[0] + t[1])),
+    st.integers(1, 30).map(lambda l: make_product_spheres(l, l)),
+    st.integers(1, 25).map(make_complex_projective),
+    dual_vectors().map(lambda dims: make_custom(dims, [1])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rings, st.integers(0, 10**6))
+@example(make_complex_projective(17), 35)
+def test_residue_fold_matches_the_dense_fold(ring, seed):
+    # the wrap at j = N - 2, N - 1 is where a residue fold goes wrong, so
+    # every ring also folds at N <= dim + 2, where its degrees wrap
+    dim = ring.dim
+    moduli = {1, 2, dim, dim + 1, dim + 2, 1 + seed % (3 * dim + 5)}
+    for N in sorted(moduli):
+        dense = fold_mod(ring, N)
+        assert _fold_ring(ring, N) == (repr(dense), is_two_periodic(dense), dense[0]), (ring.label, N)
 
 
 def test_fold_rejects_bad_modulus():

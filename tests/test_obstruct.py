@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from lagcut import coring, obstruct
 from lagcut.cli import run
 from lagcut.coring import binomial_row, make_sphere, make_torus
-from lagcut.fold import fold_mod
+from lagcut.fold import _fold_ring, fold_mod
 from lagcut.obstruct import (
     CONSTRAINED,
     INCONCLUSIVE,
@@ -502,7 +502,7 @@ def even_gradings_from_four(N_e):
 
 
 def test_torus_scan_folds_each_distinct_ring_and_grading_once(monkeypatch):
-    folds = counting(monkeypatch, obstruct, "fold_mod")
+    folds = counting(monkeypatch, obstruct, "_fold_ring")
     certificates = counting(monkeypatch, obstruct, "ss_collapse_certificate")
     rows = scan("torus", {"d": range(3, 9), "euler": range(1, 25)})
     assert len(rows) == 6 * 24
@@ -525,7 +525,7 @@ def test_rows_share_the_steps_that_read_the_same_values():
 
 
 def check_torus_folds(monkeypatch, d, N_e):
-    folds = counting(monkeypatch, obstruct, "fold_mod")
+    folds = counting(monkeypatch, obstruct, "_fold_ring")
     first = check_torus(d, N_e)
     second = check_torus(d, N_e)
     assert first == second
@@ -546,9 +546,9 @@ def test_no_memo_outlives_a_scan_that_raises(monkeypatch):
         calls.append(N)
         if len(calls) == 3:
             raise RuntimeError("fold failed")
-        return fold_mod(ring, N)
+        return _fold_ring(ring, N)
 
-    monkeypatch.setattr(obstruct, "fold_mod", failing_fold)
+    monkeypatch.setattr(obstruct, "_fold_ring", failing_fold)
     with pytest.raises(RuntimeError, match="fold failed"):
         scan("torus", {"d": [6, 7], "euler": [12]})
     monkeypatch.undo()
