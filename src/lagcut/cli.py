@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -38,15 +40,16 @@ from .coring import (
     make_torus,
 )
 from .fold import fold_mod, is_two_periodic, roots_of_unity_residual, torus_identity_check
-from .obstruct import FAMILIES, HypothesisViolation, ScanRow, TraceStep, Verdict, scan
+from .obstruct import FAMILIES, HypothesisViolation, ScanRow, TraceStep, Verdict, _scan_rows, scan
 
 # every family parameter, first-seen order, so argparse messages keep it
 _SCAN_PARAMS = tuple(dict.fromkeys(p for params, *_ in FAMILIES.values() for p in params))
 
-# Upper bound on a length the user sets: the --modulus of fold and identity
-# (one entry or binomial sum per residue) and the number of points in a scan
-# grid (one verdict per point).  It sits above every documented input, the
-# largest being a 9,950-row lens scan, and is checked before allocating.
+# Upper bound on a length the user sets, checked before allocating: the
+# --modulus of fold and identity (one entry or binomial sum per residue) and
+# the points of a scan grid (one verdict per point; main writes each row as it
+# is rendered, run joins them).  It sits above every documented input, the
+# largest being a 9,950-row lens scan.
 MAX_LENGTH = 1 << 14
 
 # Upper bound on the decimal digits of every number the user writes: each
@@ -100,10 +103,18 @@ def _key_order(keys: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
     return tuple((k, f"{encode_basestring_ascii(k)}: ") for k in sorted(keys))
 
 
+@lru_cache(maxsize=64)
+def _int_format(keys: tuple[str, ...], pad: str) -> tuple[tuple[str, ...], str]:
+    # for a dict of these keys and exact int values at pad: the sorted keys and a %-format of their values
+    order, inner = _key_order(keys), pad + "  "
+    body = f",\n{inner}".join(head.replace("%", "%%") + "%d" for _, head in order)
+    return tuple(k for k, _ in order), f"{{\n{inner}{body}\n{pad}}}" if keys else "{}"
+
+
 # what a rendering keeps for its whole document: for each pad, the text
 # of every TraceStep met at that pad, so a step that many rows share is
 # rendered once
-_Rendered = dict[str, dict[TraceStep, str]]
+_Rendered = defaultdict[str, dict[TraceStep, str]]
 
 
 def _render(doc: Any, pad: str, rendered: _Rendered) -> str:
@@ -140,10 +151,15 @@ def _render(doc: Any, pad: str, rendered: _Rendered) -> str:
 
 
 def _render_dict(doc: dict[str, Any], pad: str, rendered: _Rendered) -> str:
-    # Scalars and lists of ints, all that a row's params and a verdict's
-    # constraints hold, render in this loop; any other value through _render.
-    if not doc:
-        return "{}"
+    # A dict of exact ints, which every row's params is, renders through its
+    # cached format.  Scalars and lists of ints, all that a verdict's
+    # constraints hold, render in the loop; any other value through _render.
+    for v in doc.values():
+        if type(v) is not int:
+            break
+    else:
+        order, form = _int_format(tuple(doc), pad)
+        return form % tuple(map(doc.__getitem__, order))
     get, inner = _SCALARS.get, pad + "  "
     item = ",\n" + inner + "  "
     parts = []
@@ -169,9 +185,7 @@ def _render_dict(doc: dict[str, Any], pad: str, rendered: _Rendered) -> str:
 def _render_steps(trace: Iterable[TraceStep], pad: str, rendered: _Rendered) -> str:
     # trace steps as {"cite", "detail"} at pad, joined as a list's items
     # are; each distinct step is rendered once per document
-    texts = rendered.get(pad)
-    if texts is None:
-        texts = rendered[pad] = {}
+    texts = rendered[pad]
     inner, enc = pad + "  ", encode_basestring_ascii
     parts = []
     for s in trace:
@@ -182,45 +196,35 @@ def _render_steps(trace: Iterable[TraceStep], pad: str, rendered: _Rendered) -> 
     return f",\n{pad}".join(parts)
 
 
-def _render_verdict(verdict: Verdict, pad: str, rendered: _Rendered) -> str:
-    # Verdict.to_json_dict()'s keys in sorted order
-    inner = pad + "  "
-    constraints = verdict.constraints
-    if constraints is None:
-        constraints = "null"
-    else:
-        # a mapping renders as the dict that to_json_dict() copies it into
-        constraints = _render(
-            constraints if type(constraints) is dict else dict(constraints), inner, rendered
+def _render_row(row: ScanRow | Verdict, pad: str, rendered: _Rendered) -> str:
+    # A ScanRow as {"error", "params", "verdict"}, or a Verdict alone as its
+    # to_json_dict(), in one pass, each distinct trace step once per document.
+    is_row = type(row) is ScanRow
+    verdict, vpad = (row.verdict, pad + "  ") if is_row else (row, pad)
+    text = "null"
+    if verdict is not None:
+        inner, c = vpad + "  ", verdict.constraints
+        # constraints that are a mapping render as the dict to_json_dict() copies them into
+        constraints = "null" if c is None else _render_dict(c if type(c) is dict else dict(c), inner, rendered)
+        step = inner + "  "
+        steps = f"[\n{step}{_render_steps(verdict.trace, step, rendered)}\n{inner}]" if verdict.trace else "[]"
+        text = (
+            f'{{\n{inner}"constraints": {constraints},\n'
+            f'{inner}"status": {encode_basestring_ascii(verdict.status)},\n{inner}"trace": {steps}\n{vpad}}}'
         )
-    head = (
-        f'{{\n{inner}"constraints": {constraints},\n'
-        f'{inner}"status": {encode_basestring_ascii(verdict.status)},\n{inner}"trace": '
-    )
-    if not verdict.trace:
-        return f"{head}[]\n{pad}}}"
-    step = inner + "  "
-    steps = _render_steps(verdict.trace, step, rendered)
-    return f"{head}[\n{step}{steps}\n{inner}]\n{pad}}}"
-
-
-def _render_row(row: ScanRow, pad: str, rendered: _Rendered) -> str:
-    # the row as {"error", "params", "verdict"}, its verdict as above
-    inner = pad + "  "
-    error = "null" if row.error is None else _render(row.error, inner, rendered)
-    verdict = "null" if row.verdict is None else _render_verdict(row.verdict, inner, rendered)
-    return (
-        f'{{\n{inner}"error": {error},\n'
-        f'{inner}"params": {_render(row.params, inner, rendered)},\n'
-        f'{inner}"verdict": {verdict}\n{pad}}}'
-    )
+    if not is_row:
+        return text
+    params = row.params
+    params = _render_dict(params, vpad, rendered) if type(params) is dict else _render(params, vpad, rendered)
+    error = "null" if row.error is None else _render(row.error, vpad, rendered)
+    return f'{{\n{vpad}"error": {error},\n{vpad}"params": {params},\n{vpad}"verdict": {text}\n{pad}}}'
 
 
 # the result types whose fields are their JSON keys; they are NamedTuples,
 # so _render must look them up here before any tuple test
 _RESULTS: dict[type, Callable[[Any, str, _Rendered], str]] = {
     TraceStep: lambda step, pad, rendered: _render_steps((step,), pad, rendered),
-    Verdict: _render_verdict,
+    Verdict: _render_row,
     ScanRow: _render_row,
 }
 
@@ -233,7 +237,7 @@ def canonical_json(doc: Any) -> str:
     to_json_dict()) without building that dict, and each distinct TraceStep
     is rendered once however many verdicts of the document hold it.
     """
-    return _render(doc, "", {}) + "\n"
+    return _render(doc, "", defaultdict(dict)) + "\n"
 
 
 def round_float(x: float) -> float:
@@ -555,7 +559,7 @@ def _cmd_check(ns: argparse.Namespace) -> tuple[int, Verdict]:
     return 0, check({p: getattr(ns, p) for p in params}, getattr(ns, "surjectivity", False))
 
 
-def _cmd_scan(ns: argparse.Namespace) -> tuple[int, dict[str, Any]]:
+def _cmd_scan(ns: argparse.Namespace, write: Callable[[str], object] | None = None) -> tuple[int, Any]:
     raws = {n: getattr(ns, n) for n in _SCAN_PARAMS if getattr(ns, n) is not None}
     bounds = {name: _range_bounds(raw) for name, raw in raws.items()}
     # the grid spans the family's own parameters; scan rejects any other one
@@ -567,18 +571,40 @@ def _cmd_scan(ns: argparse.Namespace) -> tuple[int, dict[str, Any]]:
             points *= hi - lo + 1
     _check_length("scan grid size", points)
     ranges = {name: range(lo, hi + 1) for name, (lo, hi) in bounds.items()}
-    rows = scan(ns.family, ranges, use_surjectivity=ns.surjectivity)
-    code = 2 if any(row.error is not None for row in rows) else 0
-    # the ScanRow objects themselves: canonical_json and _text_scan read them
-    return code, {"family": ns.family, "rows": rows}
+    if write is None:
+        # a batch report holds the ScanRow objects, which canonical_json reads
+        rows = scan(ns.family, ranges, use_surjectivity=ns.surjectivity)
+        return 2 if any(row.error is not None for row in rows) else 0, {"family": ns.family, "rows": rows}
+    # else each row is written as it is checked, the head with the first, so a
+    # scan refused before any row writes nothing; code and tail follow the last
+    as_json, family = ns.format == "json", ns.family
+    head = f"family: {family}\n"
+    if as_json:
+        head = f'{{\n  "family": {encode_basestring_ascii(family)},\n  "rows": [\n    '
+    rendered: _Rendered = defaultdict(dict)
+    count = errors = 0
+
+    def emit(row: ScanRow) -> None:
+        nonlocal head, count, errors
+        write(head + (_render_row(row, "    ", rendered) if as_json else _text_row(row)))
+        head = ",\n    " if as_json else ""
+        count += 1
+        errors += row.error is not None
+
+    _scan_rows(emit, family, ranges, ns.surjectivity)
+    if as_json:
+        return 2 if errors else 0, ("\n  ]" if count else head.rstrip() + "]") + "\n}\n"
+    return 2 if errors else 0, f"{head}rows: {count}  errors: {errors}\n"
 
 
-def _execute(ns: argparse.Namespace) -> tuple[int, Any]:
+def _execute(ns: argparse.Namespace, write: Callable[[str], object] | None = None) -> tuple[int, Any]:
     try:
         # the integer options, which argparse has already read
         for name, value in vars(ns).items():
             if type(value) is int:
                 _check_digits(f"--{name}", value)
+        if ns.cmd == "scan":
+            return _cmd_scan(ns, write)
         return _COMMANDS[ns.cmd][0](ns)
     except HypothesisViolation as exc:
         return 2, {"error": {"cite": exc.cite, "message": str(exc)}}
@@ -647,32 +673,21 @@ def _text_verdict(verdict: Verdict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _text_scan(doc: dict[str, Any]) -> str:
-    lines = [f"family: {doc['family']}"]
-    errors = 0
-    for row in doc["rows"]:
-        head = " ".join(f"{k}={v}" for k, v in row.params.items())
-        if row.error is not None:
-            errors += 1
-            err = row.error
-            lines.append(f"{head} :: error [{err['cite']}] {err['message']}")
-        else:
-            verdict = row.verdict
-            tail = verdict.status
-            if verdict.constraints is not None:
-                tail += " " + json.dumps(verdict.constraints, sort_keys=True)
-            lines.append(f"{head} :: {tail}")
-    lines.append(f"rows: {len(doc['rows'])}  errors: {errors}")
-    return "\n".join(lines) + "\n"
+def _text_row(row: ScanRow) -> str:
+    head = " ".join(f"{k}={v}" for k, v in row.params.items())
+    if row.error is not None:
+        return f"{head} :: error [{row.error['cite']}] {row.error['message']}\n"
+    verdict = row.verdict
+    constraints = "" if verdict.constraints is None else " " + json.dumps(verdict.constraints, sort_keys=True)
+    return f"{head} :: {verdict.status}{constraints}\n"
 
 
-# each subcommand once: its report and its text renderer
+# each subcommand but scan (which writes its own rows) once: its report and text renderer
 _COMMANDS = {
     "classes": (_cmd_classes, _text_classes),
     "identity": (_cmd_identity, _text_identity),
     "fold": (_cmd_fold, _text_fold),
     "check": (_cmd_check, _text_verdict),
-    "scan": (_cmd_scan, _text_scan),
 }
 
 
@@ -732,8 +747,9 @@ def _run_batch(path: str) -> tuple[int, str]:
     return worst, canonical_json(reports)
 
 
-def run(argv: list[str]) -> tuple[int, str]:
-    """Dispatch one command line, returning (exit code, rendered output)."""
+def _dispatch(argv: list[str], write: Callable[[str], object]) -> tuple[int, str]:
+    # One command line: its exit code and the last piece of its output; a scan
+    # writes its rows to `write` first, a JSON report all but its last newline.
     tokens = _merge_rationals(list(argv))
     try:
         ns = _build_parser(frozenset(tokens)).parse_args(tokens)
@@ -747,18 +763,42 @@ def run(argv: list[str]) -> tuple[int, str]:
         return _run_batch(ns.batch)
     if not ns.cmd:
         return 1, "usage error: a subcommand or --batch is required\n"
-    code, doc = _execute(ns)
+    code, doc = _execute(ns, write)
+    if type(doc) is str:
+        return code, doc
     if ns.format == "json":
-        return code, canonical_json(doc)
+        write(_render(doc, "", defaultdict(dict)))
+        return code, "\n"
     # a check answers with its Verdict, every other report is a dict
     if type(doc) is dict and "error" in doc:
         return code, _text_error(doc)
     return code, _COMMANDS[ns.cmd][1](doc)
 
 
+def run(argv: list[str]) -> tuple[int, str]:
+    """Dispatch one command line, returning (exit code, rendered output).
+
+    The output is main()'s pieces joined once, so it holds a scan's whole document.
+    """
+    parts: list[str] = []
+    code, last = _dispatch(argv, parts.append)
+    return code, "".join([*parts, last])
+
+
 def main(argv: list[str] | None = None) -> int:
-    code, text = run(sys.argv[1:] if argv is None else list(argv))
-    sys.stdout.write(text)
+    """Run one command line, writing its output to stdout; return the exit code.
+
+    The bytes are run()'s, but a scan writes each row as soon as it is rendered.
+    """
+    try:
+        code, last = _dispatch(sys.argv[1:] if argv is None else list(argv), sys.stdout.write)
+        sys.stdout.write(last)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (`lagcut scan ... | head`): end without a
+        # traceback, stdout pointed at devnull so the exit flush succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -41,8 +41,9 @@ def _fold_pairs(pairs: Iterable[tuple[int, int]], N: int) -> dict[int, int]:
 
 
 def _dense(pairs: Iterable[tuple[int, int]], N: int) -> tuple[int, ...]:
+    residues = _fold_pairs(pairs, N)  # refuses an N below 1 before allocating
     out = [0] * N
-    for j, s in _fold_pairs(pairs, N).items():
+    for j, s in residues.items():
         out[j] = s
     return tuple(out)
 

@@ -14,10 +14,11 @@ a scan may leave out, each with the value it then takes from the others.
 `scan` and the command line's `check` and `scan` subcommands are all built
 from it.
 
-A scan builds each distinct trace step once: while `scan` runs, the steps
-and the folds behind them are kept by the parameters they read, and rows
-that read the same values share the same TraceStep objects.  A check
-called on its own builds every step afresh.
+A scan builds each distinct trace step once.  Its loop hands each row to a
+callback as soon as the row is built (`scan` collects them, the command
+line renders and writes them); while it runs, the steps and the folds
+behind them are kept by the parameters they read, so rows that read the
+same values share TraceStep objects.  A lone check builds every step anew.
 """
 
 from __future__ import annotations
@@ -626,6 +627,19 @@ def scan(
     A range value that is not an int is a ValueError before any row runs.
     Rows that read the same values share their TraceStep objects.
     """
+    rows: list[ScanRow] = []
+    _scan_rows(rows.append, family, ranges, use_surjectivity)
+    return rows
+
+
+def _scan_rows(
+    emit: Callable[[ScanRow], object],
+    family: str,
+    ranges: Mapping[str, Iterable[int]],
+    use_surjectivity: bool,
+) -> None:
+    # scan's loop: every check of the arguments, then each row to emit as it
+    # is built.  The memo is set and reset in this frame, however it ends.
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     order, check, takes_surjectivity, defaults = FAMILIES[family]
@@ -647,7 +661,6 @@ def scan(
             if not isinstance(value, int):
                 raise ValueError(f"scan parameter {name!r} takes integers, not {value!r}")
     axes = [sorted(set(axis)) for axis in values]
-    rows: list[ScanRow] = []
     token = _SCAN_MEMO.set({})
     try:
         for combo in itertools.product(*axes):
@@ -656,12 +669,10 @@ def scan(
                 if name not in params:
                     params[name] = default(params)
             try:
-                verdict = check(params, use_surjectivity)
-                rows.append(ScanRow(params=params, verdict=verdict, error=None))
+                row = ScanRow(params, check(params, use_surjectivity), None)
             except (HypothesisViolation, ValueError) as exc:
                 cite = exc.cite if isinstance(exc, HypothesisViolation) else "usage-error"
-                error = {"cite": cite, "message": str(exc)}
-                rows.append(ScanRow(params=params, verdict=None, error=error))
+                row = ScanRow(params, None, {"cite": cite, "message": str(exc)})
+            emit(row)
     finally:
         _SCAN_MEMO.reset(token)
-    return rows

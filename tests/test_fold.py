@@ -86,6 +86,13 @@ def test_fold_rejects_bad_modulus():
         fold_mod(make_sphere(1), 0)
 
 
+def test_fold_refuses_a_modulus_too_negative_to_allocate():
+    # the modulus is checked before the dense list is built, so a value
+    # below -sys.maxsize is the same refusal, not an OverflowError
+    with pytest.raises(InvalidModulusError, match="invalid-modulus: N must be >= 1"):
+        fold_mod(make_sphere(1), -(2**64))
+
+
 def test_fold_mod_torus_equals_binomial_sums():
     # both read the one binomial row, so both are checked against the
     # additive Pascal recurrence folded by the reference bucketing

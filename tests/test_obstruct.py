@@ -501,10 +501,17 @@ def even_gradings_from_four(N_e):
     return [N for N in range(4, 2 * N_e + 1, 2) if (2 * N_e) % N == 0]
 
 
+def scan_rows(family, ranges, emit=None):
+    # the rows the scan loop hands its callback, in order
+    rows = []
+    obstruct._scan_rows(emit or rows.append, family, ranges, False)
+    return rows
+
+
 def test_torus_scan_folds_each_distinct_ring_and_grading_once(monkeypatch):
     folds = counting(monkeypatch, obstruct, "_fold_ring")
     certificates = counting(monkeypatch, obstruct, "ss_collapse_certificate")
-    rows = scan("torus", {"d": range(3, 9), "euler": range(1, 25)})
+    rows = scan_rows("torus", {"d": range(3, 9), "euler": range(1, 25)})
     assert len(rows) == 6 * 24
     expected = collections.Counter(
         (d, N) for d in range(3, 9) for N in {N for e in range(1, 25) for N in even_gradings_from_four(e)}
@@ -533,7 +540,7 @@ def check_torus_folds(monkeypatch, d, N_e):
 
 
 def test_no_memo_outlives_a_scan_that_returns(monkeypatch):
-    scan("torus", {"d": [6], "euler": [12]})
+    scan_rows("torus", {"d": [6], "euler": [12]})
     assert obstruct._SCAN_MEMO.get() is None
     # 2 N_e = 24 has the gradings 4, 6, 8, 12 and 24, folded by each call
     assert check_torus_folds(monkeypatch, 6, 12) == 2 * 5
@@ -550,8 +557,25 @@ def test_no_memo_outlives_a_scan_that_raises(monkeypatch):
 
     monkeypatch.setattr(obstruct, "_fold_ring", failing_fold)
     with pytest.raises(RuntimeError, match="fold failed"):
-        scan("torus", {"d": [6, 7], "euler": [12]})
+        scan_rows("torus", {"d": [6, 7], "euler": [12]})
     monkeypatch.undo()
+    assert obstruct._SCAN_MEMO.get() is None
+    assert check_torus_folds(monkeypatch, 6, 12) == 2 * 5
+
+
+def test_no_memo_outlives_a_scan_whose_callback_raises(monkeypatch):
+    seen = []
+
+    def failing_emit(row):
+        # the memo is live while the callback runs
+        assert obstruct._SCAN_MEMO.get()
+        seen.append(row.params)
+        if len(seen) == 2:
+            raise RuntimeError("write failed")
+
+    with pytest.raises(RuntimeError, match="write failed"):
+        scan_rows("torus", {"d": [6, 7, 8], "euler": [12]}, failing_emit)
+    assert seen == [{"d": 6, "euler": 12}, {"d": 7, "euler": 12}]
     assert obstruct._SCAN_MEMO.get() is None
     assert check_torus_folds(monkeypatch, 6, 12) == 2 * 5
 

@@ -1,0 +1,144 @@
+"""Streamed output: main writes exactly the text that run returns, and the
+scan loop hands its callback exactly the rows that scan returns."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from write_golden_outputs import BATCH, SCANS
+
+import lagcut
+from lagcut import obstruct
+from lagcut.cli import canonical_json, main, parse_range, run
+from lagcut.obstruct import scan
+
+SCAN_ARGVS = [["scan", *args, "--format", fmt] for args in SCANS for fmt in ("text", "json")]
+
+
+@pytest.mark.parametrize("argv", SCAN_ARGVS, ids=" ".join)
+def test_main_writes_what_run_returns(capsys, argv):
+    code, text = run(argv)
+    assert main(argv) == code
+    assert capsys.readouterr().out == text
+
+
+def test_main_writes_what_run_returns_for_the_golden_batch(capsys, tmp_path):
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(BATCH))
+    code, text = run(["--batch", str(path)])
+    assert main(["--batch", str(path)]) == code
+    assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--d", "1..x", "--euler", "1..3"], "bad range '1..x'"),
+        (["--d", "1..3", "--euler", "1..3", "--l", "2"], "family 'torus' does not take ['l']"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_refused_scan_writes_only_its_error(capsys, args, message, fmt):
+    argv = ["scan", "--family", "torus", *args, "--format", fmt]
+    if fmt == "json":
+        expected = canonical_json({"error": {"cite": "usage-error", "message": message}})
+    else:
+        expected = f"error [usage-error]: {message}\n"
+    assert run(argv) == (1, expected)
+    assert main(argv) == 1
+    assert capsys.readouterr().out == expected
+
+
+def scan_call(args):
+    # the family, ranges and surjectivity flag a scan argv names
+    family, ranges, surjectivity = None, {}, False
+    tokens = iter(args)
+    for token in tokens:
+        if token == "--surjectivity":
+            surjectivity = True
+        elif token == "--family":
+            family = next(tokens)
+        else:
+            ranges[token.removeprefix("--")] = parse_range(next(tokens))
+    return family, ranges, surjectivity
+
+
+def outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("args", SCANS, ids=" ".join)
+def test_scan_returns_the_rows_its_loop_hands_the_callback(args):
+    family, ranges, surjectivity = scan_call(args)
+    received = []
+
+    def streamed():
+        obstruct._scan_rows(received.append, family, ranges, surjectivity)
+        return received
+
+    assert outcome(streamed) == outcome(lambda: scan(family, ranges, surjectivity))
+
+
+# 4,096 rows and 11.7 MB of JSON
+LARGE_SCAN = ["scan", "--family", "torus", "--d", "1..64", "--euler", "1..64", "--format", "json"]
+
+CHILD = """
+import os, sys
+from lagcut import cli
+how, argv = sys.argv[1], sys.argv[2:]
+if how == "main":
+    sys.stdout = open(os.devnull, "w")
+    code, size = cli.main(argv), 0
+else:
+    code, text = cli.run(argv)
+    size = len(text)
+print(code, size, file=sys.__stdout__)
+"""
+
+# A child's ru_maxrss starts at its parent's RSS at the fork, so each child
+# is started by this small launcher rather than by the test process.
+LAUNCHER = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-c", *sys.argv[1:]], check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def peak(how):
+    # exit code, output size and peak RSS in bytes of one child process
+    src = str(Path(lagcut.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, CHILD, how, *LARGE_SCAN], capture_output=True, text=True, env=env, check=True
+    )
+    code, size, rss_kb = map(int, proc.stdout.split())
+    return code, size, rss_kb * 1024
+
+
+def test_main_never_holds_a_scan_document():
+    main_code, _, main_peak = peak("main")
+    run_code, size, run_peak = peak("run")
+    assert main_code == run_code == 0
+    assert size > 11_000_000
+    assert main_peak <= run_peak - size
+
+
+def test_a_reader_that_stops_early_ends_the_scan_without_a_traceback():
+    # the rows go out as they are rendered, so a reader such as `head` can
+    # close the pipe while the scan still runs
+    src = str(Path(lagcut.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lagcut.cli", *LARGE_SCAN], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    assert proc.stdout.read(100).startswith(b'{\n  "family": "torus",')
+    proc.stdout.close()
+    with proc.stderr:
+        assert proc.wait() == 1
+        assert proc.stderr.read() == b""
