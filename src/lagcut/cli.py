@@ -40,7 +40,7 @@ from .coring import (
     make_torus,
 )
 from .fold import fold_mod, is_two_periodic, roots_of_unity_residual, torus_identity_check
-from .obstruct import FAMILIES, HypothesisViolation, ScanRow, TraceStep, Verdict, _scan_rows, scan
+from .obstruct import FAMILIES, HypothesisViolation, ScanRow, TraceStep, Verdict, _scan_rows
 
 # every family parameter, first-seen order, so argparse messages keep it
 _SCAN_PARAMS = tuple(dict.fromkeys(p for params, *_ in FAMILIES.values() for p in params))
@@ -232,10 +232,10 @@ _RESULTS: dict[type, Callable[[Any, str, _Rendered], str]] = {
 def canonical_json(doc: Any) -> str:
     """Exactly json.dumps(doc, indent=2, sort_keys=True) plus a newline.
 
-    Dict keys must be strings, which every document here has.  A TraceStep,
-    Verdict or ScanRow renders as the dict of its fields (a Verdict as its
-    to_json_dict()) without building that dict, and each distinct TraceStep
-    is rendered once however many verdicts of the document hold it.
+    The library's entry point to the renderer the command line writes with;
+    dict keys must be strings.  A TraceStep, Verdict or ScanRow renders as
+    its fields' dict (a Verdict as its to_json_dict()) without building it,
+    and each distinct TraceStep is rendered once per document.
     """
     return _render(doc, "", defaultdict(dict)) + "\n"
 
@@ -559,7 +559,7 @@ def _cmd_check(ns: argparse.Namespace) -> tuple[int, Verdict]:
     return 0, check({p: getattr(ns, p) for p in params}, getattr(ns, "surjectivity", False))
 
 
-def _cmd_scan(ns: argparse.Namespace, write: Callable[[str], object] | None = None) -> tuple[int, Any]:
+def _cmd_scan(ns: argparse.Namespace, write: Callable[[str], object], pad: str) -> int:
     raws = {n: getattr(ns, n) for n in _SCAN_PARAMS if getattr(ns, n) is not None}
     bounds = {name: _range_bounds(raw) for name, raw in raws.items()}
     # the grid spans the family's own parameters; scan rejects any other one
@@ -571,54 +571,54 @@ def _cmd_scan(ns: argparse.Namespace, write: Callable[[str], object] | None = No
             points *= hi - lo + 1
     _check_length("scan grid size", points)
     ranges = {name: range(lo, hi + 1) for name, (lo, hi) in bounds.items()}
-    if write is None:
-        # a batch report holds the ScanRow objects, which canonical_json reads
-        rows = scan(ns.family, ranges, use_surjectivity=ns.surjectivity)
-        return 2 if any(row.error is not None for row in rows) else 0, {"family": ns.family, "rows": rows}
-    # else each row is written as it is checked, the head with the first, so a
-    # scan refused before any row writes nothing; code and tail follow the last
-    as_json, family = ns.format == "json", ns.family
+    # each row is written as it is checked, the head with the first, so a scan
+    # refused before any row writes nothing; the tail follows the last
+    as_json, family, inner = ns.format == "json", ns.family, pad + "    "
     head = f"family: {family}\n"
     if as_json:
-        head = f'{{\n  "family": {encode_basestring_ascii(family)},\n  "rows": [\n    '
+        head = f'{{\n{pad}  "family": {encode_basestring_ascii(family)},\n{pad}  "rows": [\n{inner}'
     rendered: _Rendered = defaultdict(dict)
     count = errors = 0
 
     def emit(row: ScanRow) -> None:
         nonlocal head, count, errors
-        write(head + (_render_row(row, "    ", rendered) if as_json else _text_row(row)))
-        head = ",\n    " if as_json else ""
+        write(head + (_render_row(row, inner, rendered) if as_json else _text_row(row)))
+        head = ",\n" + inner if as_json else ""
         count += 1
         errors += row.error is not None
 
     _scan_rows(emit, family, ranges, ns.surjectivity)
-    if as_json:
-        return 2 if errors else 0, ("\n  ]" if count else head.rstrip() + "]") + "\n}\n"
-    return 2 if errors else 0, f"{head}rows: {count}  errors: {errors}\n"
+    tail = (f"\n{pad}  ]" if count else head.rstrip() + "]") + f"\n{pad}}}"
+    write(tail if as_json else f"{head}rows: {count}  errors: {errors}\n")
+    return 2 if errors else 0
 
 
-def _execute(ns: argparse.Namespace, write: Callable[[str], object] | None = None) -> tuple[int, Any]:
+def _report(ns: argparse.Namespace, write: Callable[[str], object], pad: str) -> int:
+    # writes one command's report, JSON at pad without its last newline; returns the exit code
     try:
         # the integer options, which argparse has already read
         for name, value in vars(ns).items():
             if type(value) is int:
                 _check_digits(f"--{name}", value)
         if ns.cmd == "scan":
-            return _cmd_scan(ns, write)
-        return _COMMANDS[ns.cmd][0](ns)
+            return _cmd_scan(ns, write, pad)
+        code, doc = _COMMANDS[ns.cmd][0](ns)
     except HypothesisViolation as exc:
-        return 2, {"error": {"cite": exc.cite, "message": str(exc)}}
+        code, doc = 2, {"error": {"cite": exc.cite, "message": str(exc)}}
     except NotMonotoneLevelError as exc:
-        return 2, {"error": {"cite": "not-monotone-level", "message": str(exc)}}
+        code, doc = 2, {"error": {"cite": "not-monotone-level", "message": str(exc)}}
     except UndeterminableError as exc:
-        return 2, {"error": {"cite": "undeterminable", "message": str(exc)}}
+        code, doc = 2, {"error": {"cite": "undeterminable", "message": str(exc)}}
     except ValueError as exc:
-        return 1, {"error": {"cite": "usage-error", "message": str(exc)}}
-
-
-def _text_error(doc: dict[str, Any]) -> str:
-    err = doc["error"]
-    return f"error [{err['cite']}]: {err['message']}\n"
+        code, doc = 1, {"error": {"cite": "usage-error", "message": str(exc)}}
+    if ns.format == "json":
+        write(_render(doc, pad, defaultdict(dict)))
+    elif type(doc) is dict and "error" in doc:
+        # a check answers with its Verdict, every other report is a dict
+        write(f"error [{doc['error']['cite']}]: {doc['error']['message']}\n")
+    else:
+        write(_COMMANDS[ns.cmd][1](doc))
+    return code
 
 
 def _text_value(value: Any) -> str:
@@ -691,23 +691,23 @@ _COMMANDS = {
 }
 
 
-def _run_batch(path: str) -> tuple[int, str]:
+def _run_batch(path: str, write: Callable[[str], object]) -> int:
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
-        return 1, f"usage error: cannot read batch file: {exc}\n"
+        raise UsageError(f"cannot read batch file: {exc}") from None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        return 1, f"usage error: batch file is not valid JSON: {exc}\n"
+        raise UsageError(f"batch file is not valid JSON: {exc}") from None
     except ValueError:
         # the only other error: an int literal longer than CPython converts
-        return 1, (
-            "usage error: batch file holds a number too long to read; a batch "
-            "is a JSON array of {command, args} entries whose args are strings\n"
-        )
+        raise UsageError(
+            "batch file holds a number too long to read; a batch is a JSON "
+            "array of {command, args} entries whose args are strings"
+        ) from None
     except RecursionError:
-        return 1, "usage error: batch file nests too deeply\n"
+        raise UsageError("batch file nests too deeply") from None
     if not isinstance(raw, list):
-        return 1, "usage error: batch file must hold a JSON array\n"
+        raise UsageError("batch file must hold a JSON array")
     parser = _build_parser()
     entries = []
     # validate every entry before running any, so a malformed batch is
@@ -720,79 +720,76 @@ def _run_batch(path: str) -> tuple[int, str]:
             and all(isinstance(a, str) for a in entry["args"])
         )
         if not ok:
-            return 1, f"usage error: batch entry {idx} must be {{command, args}} of strings\n"
+            raise UsageError(f"batch entry {idx} must be {{command, args}} of strings")
         tokens = _merge_rationals([entry["command"], *entry["args"]])
         try:
             ns = parser.parse_args(tokens)
         except UsageError as exc:
-            return 1, f"usage error: batch entry {idx} does not parse: {exc}\n"
+            raise UsageError(f"batch entry {idx} does not parse: {exc}") from None
         except _HelpRequested:
-            return 1, f"usage error: batch entry {idx} asks for help, which has no report\n"
+            raise UsageError(f"batch entry {idx} asks for help, which has no report") from None
         if ns.batch or not ns.cmd:
-            return 1, f"usage error: batch entry {idx} must name a subcommand\n"
+            raise UsageError(f"batch entry {idx} must name a subcommand")
+        ns.format = "json"  # a batch is one JSON document, whatever an entry's --format
         entries.append((entry, ns))
-    worst = 0
-    reports = []
+    # Each entry is written once it has run.  Its "exit" key sorts before its
+    # "report", so only the running entry's pieces are held.
+    worst, sep = 0, "[\n  "
     for entry, ns in entries:
-        code, doc = _execute(ns)
+        held: list[str] = []
+        code = _report(ns, held.append, "    ")
         worst = max(worst, code)
-        reports.append(
-            {
-                "command": entry["command"],
-                "args": list(entry["args"]),
-                "exit": code,
-                "report": doc,
-            }
-        )
-    return worst, canonical_json(reports)
+        args = _render(entry["args"], "    ", defaultdict(dict))
+        command = encode_basestring_ascii(entry["command"])
+        write(f'{sep}{{\n    "args": {args},\n    "command": {command},\n    "exit": {code},\n    "report": ')
+        for piece in held:
+            write(piece)
+        write("\n  }")
+        sep = ",\n  "
+    write("\n]\n" if entries else "[]\n")
+    return worst
 
 
-def _dispatch(argv: list[str], write: Callable[[str], object]) -> tuple[int, str]:
-    # One command line: its exit code and the last piece of its output; a scan
-    # writes its rows to `write` first, a JSON report all but its last newline.
+def _dispatch(argv: list[str], write: Callable[[str], object]) -> int:
+    # One command line, its whole output written to `write`; returns the exit code.
     tokens = _merge_rationals(list(argv))
     try:
         ns = _build_parser(frozenset(tokens)).parse_args(tokens)
+        if ns.batch and ns.cmd:
+            raise UsageError("--batch excludes a direct subcommand")
+        if ns.batch:
+            return _run_batch(ns.batch, write)
+        if not ns.cmd:
+            raise UsageError("a subcommand or --batch is required")
     except UsageError as exc:
-        return 1, f"usage error: {exc}\n"
+        write(f"usage error: {exc}\n")
+        return 1
     except _HelpRequested as exc:
-        return 0, str(exc)
-    if ns.batch and ns.cmd:
-        return 1, "usage error: --batch excludes a direct subcommand\n"
-    if ns.batch:
-        return _run_batch(ns.batch)
-    if not ns.cmd:
-        return 1, "usage error: a subcommand or --batch is required\n"
-    code, doc = _execute(ns, write)
-    if type(doc) is str:
-        return code, doc
+        write(str(exc))
+        return 0
+    code = _report(ns, write, "")
     if ns.format == "json":
-        write(_render(doc, "", defaultdict(dict)))
-        return code, "\n"
-    # a check answers with its Verdict, every other report is a dict
-    if type(doc) is dict and "error" in doc:
-        return code, _text_error(doc)
-    return code, _COMMANDS[ns.cmd][1](doc)
+        write("\n")
+    return code
 
 
 def run(argv: list[str]) -> tuple[int, str]:
     """Dispatch one command line, returning (exit code, rendered output).
 
-    The output is main()'s pieces joined once, so it holds a scan's whole document.
+    The output is main()'s pieces joined once, so it holds a whole scan or batch.
     """
     parts: list[str] = []
-    code, last = _dispatch(argv, parts.append)
-    return code, "".join([*parts, last])
+    code = _dispatch(argv, parts.append)
+    return code, "".join(parts)
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command line, writing its output to stdout; return the exit code.
 
-    The bytes are run()'s, but a scan writes each row as soon as it is rendered.
+    The bytes are run()'s, but each scan row and batch report is written once it is ready.
     """
     try:
-        code, last = _dispatch(sys.argv[1:] if argv is None else list(argv), sys.stdout.write)
-        sys.stdout.write(last)
+        code = _dispatch(sys.argv[1:] if argv is None else list(argv), sys.stdout.write)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader stopped early (`lagcut scan ... | head`): end without a

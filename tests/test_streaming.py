@@ -25,12 +25,45 @@ def test_main_writes_what_run_returns(capsys, argv):
     assert capsys.readouterr().out == text
 
 
-def test_main_writes_what_run_returns_for_the_golden_batch(capsys, tmp_path):
+SMALL_CHECK = {"command": "check", "args": ["torus", "--d", "2", "--euler", "3"]}
+
+# each batch with the exit code of every report, or the whole output when no
+# report is written
+BATCHES = {
+    "golden": (BATCH, [0, 0, 2, 2, 0, 0]),
+    "empty": ([], "[]\n"),
+    "scan refused before its first row": (
+        [SMALL_CHECK, {"command": "scan", "args": ["--family", "torus", "--d", "1..x", "--euler", "1..3"]}],
+        [0, 1],
+    ),
+    "text scan": ([{"command": "scan", "args": ["--family", "lens", "--p", "2..5", "--n", "1..2", "--format", "text"]}], [0]),
+    "grading that does not divide 2 N_e": (
+        [{"command": "check", "args": ["sphere", "--d", "5", "--euler", "1", "--grading", "3"]}, SMALL_CHECK],
+        [2, 0],
+    ),
+    "malformed late entry": (
+        [SMALL_CHECK, SMALL_CHECK, {"command": "check", "args": "torus"}],
+        "usage error: batch entry 2 must be {command, args} of strings\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("batch, expected", BATCHES.values(), ids=BATCHES)
+def test_main_writes_what_run_returns_for_the_golden_batch(capsys, tmp_path, batch, expected):
     path = tmp_path / "batch.json"
-    path.write_text(json.dumps(BATCH))
+    path.write_text(json.dumps(batch))
     code, text = run(["--batch", str(path)])
     assert main(["--batch", str(path)]) == code
     assert capsys.readouterr().out == text
+    if type(expected) is str:
+        assert (code, text) == (1 if batch else 0, expected)
+        return
+    # every report is JSON, a text scan's included
+    reports = json.loads(text)
+    assert [r["exit"] for r in reports] == expected
+    assert [(r["command"], r["args"]) for r in reports] == [(e["command"], e["args"]) for e in batch]
+    assert all(type(r["report"]) is dict for r in reports)
+    assert code == max(expected)
 
 
 @pytest.mark.parametrize(
@@ -110,12 +143,12 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
-def peak(how):
+def peak(how, argv=LARGE_SCAN):
     # exit code, output size and peak RSS in bytes of one child process
     src = str(Path(lagcut.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", LAUNCHER, CHILD, how, *LARGE_SCAN], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", LAUNCHER, CHILD, how, *argv], capture_output=True, text=True, env=env, check=True
     )
     code, size, rss_kb = map(int, proc.stdout.split())
     return code, size, rss_kb * 1024
@@ -138,6 +171,39 @@ def test_a_reader_that_stops_early_ends_the_scan_without_a_traceback():
         [sys.executable, "-m", "lagcut.cli", *LARGE_SCAN], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
     )
     assert proc.stdout.read(100).startswith(b'{\n  "family": "torus",')
+    proc.stdout.close()
+    with proc.stderr:
+        assert proc.wait() == 1
+        assert proc.stderr.read() == b""
+
+
+def large_batch(tmp_path, *entries):
+    # a batch file of the entries, then the large scan
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps([*entries, {"command": "scan", "args": LARGE_SCAN[1:]}]))
+    return ["--batch", str(path)]
+
+
+def test_main_never_holds_a_batch_document(tmp_path):
+    # each report is written once its entry has run, so a batch of the large
+    # scan peaks below the scan's own document held whole
+    batch_code, _, batch_peak = peak("main", large_batch(tmp_path))
+    scan_code, size, scan_peak = peak("run")
+    assert batch_code == scan_code == 0
+    assert size > 11_000_000
+    assert batch_peak < scan_peak
+
+
+def test_a_reader_that_stops_early_ends_the_batch_without_a_traceback(tmp_path):
+    src = str(Path(lagcut.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lagcut.cli", *large_batch(tmp_path, SMALL_CHECK)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.read(100).startswith(b'[\n  {\n    "args"')
     proc.stdout.close()
     with proc.stderr:
         assert proc.wait() == 1
