@@ -103,14 +103,6 @@ def _key_order(keys: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
     return tuple((k, f"{encode_basestring_ascii(k)}: ") for k in sorted(keys))
 
 
-@lru_cache(maxsize=64)
-def _int_format(keys: tuple[str, ...], pad: str) -> tuple[tuple[str, ...], str]:
-    # for a dict of these keys and exact int values at pad: the sorted keys and a %-format of their values
-    order, inner = _key_order(keys), pad + "  "
-    body = f",\n{inner}".join(head.replace("%", "%%") + "%d" for _, head in order)
-    return tuple(k for k, _ in order), f"{{\n{inner}{body}\n{pad}}}" if keys else "{}"
-
-
 # what a rendering keeps for its whole document: for each pad, the text
 # of every TraceStep met at that pad, so a step that many rows share is
 # rendered once
@@ -151,17 +143,9 @@ def _render(doc: Any, pad: str, rendered: _Rendered) -> str:
 
 
 def _render_dict(doc: dict[str, Any], pad: str, rendered: _Rendered) -> str:
-    # A dict of exact ints, which every row's params is, renders through its
-    # cached format.  Scalars and lists of ints, all that a verdict's
-    # constraints hold, render in the loop; any other value through _render.
-    for v in doc.values():
-        if type(v) is not int:
-            break
-    else:
-        order, form = _int_format(tuple(doc), pad)
-        return form % tuple(map(doc.__getitem__, order))
+    if not doc:
+        return "{}"
     get, inner = _SCALARS.get, pad + "  "
-    item = ",\n" + inner + "  "
     parts = []
     for k, head in _key_order(tuple(doc)):
         v = doc[k]
@@ -169,13 +153,6 @@ def _render_dict(doc: dict[str, Any], pad: str, rendered: _Rendered) -> str:
         if scalar is not None:
             parts.append(head + scalar(v))
             continue
-        if type(v) is list:
-            for x in v:
-                if type(x) is not int:
-                    break
-            else:
-                parts.append(f"{head}[\n{inner}  {item.join(map(int.__repr__, v))}\n{inner}]" if v else head + "[]")
-                continue
         # one expression, so no local keeps a rendered child alive
         parts.append(head + _render(v, inner, rendered))
     sep = ",\n" + inner
@@ -214,8 +191,7 @@ def _render_row(row: ScanRow | Verdict, pad: str, rendered: _Rendered) -> str:
         )
     if not is_row:
         return text
-    params = row.params
-    params = _render_dict(params, vpad, rendered) if type(params) is dict else _render(params, vpad, rendered)
+    params = _render(row.params, vpad, rendered)
     error = "null" if row.error is None else _render(row.error, vpad, rendered)
     return f'{{\n{vpad}"error": {error},\n{vpad}"params": {params},\n{vpad}"verdict": {text}\n{pad}}}'
 

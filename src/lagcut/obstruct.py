@@ -29,7 +29,7 @@ from math import isqrt
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .coring import make_complex_projective, make_product_spheres, make_sphere, make_torus
-from .fold import _fold_ring
+from .fold import MAX_FOLD_MODULUS, _fold_ring
 from .floer import (
     COHOMOLOGY_MINUS_ENDS,
     EQUALS_COHOMOLOGY,
@@ -37,15 +37,6 @@ from .floer import (
     sphere_local_rule,
     ss_collapse_certificate,
 )
-
-# Largest grading a check folds into: 2 N_e for check_torus and
-# check_product_spheres, which fold at every even divisor N of 2 N_e, and
-# the grading N of check_sphere.  A fold reads only its nonzero residues but
-# its trace prints all N entries.  At 2 N_e = 2,096,640, the even number under
-# the limit with the largest sum of even divisors, `check torus --d 64 --format
-# json` takes 0.2-0.3 s and 140 MB, nearly all for the 27 MB it prints; `check
-# sphere` at N = 2^21 takes 0.06 s (cli.run, CPython 3.11, 2-core VM).
-MAX_FOLD_MODULUS = 1 << 21
 
 # Largest number whose divisors a check enumerates in O(sqrt(n)) steps: p
 # in check_lens (which reads primality off the same list) and N_e in

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lagcut
@@ -69,6 +69,12 @@ json_documents = st.recursive(
 
 @settings(max_examples=300, deadline=None)
 @given(json_documents)
+@example({})
+@example({"%": 1, "%d": -2})
+@example({"a": [], "b": [1, -2, 10**40]})
+@example({"a": True, "b": 1})
+@example([{"k": 1}, {"k": [2]}])
+@example({"n": [1, "x"]})
 def test_canonical_json_is_indented_sorted_json(doc):
     assert canonical_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

@@ -16,6 +16,7 @@ from lagcut.coring import (
     make_torus,
 )
 from lagcut.fold import (
+    MAX_FOLD_MODULUS,
     InvalidModulusError,
     _fold_ring,
     binomial_fold_sums,
@@ -91,6 +92,24 @@ def test_fold_refuses_a_modulus_too_negative_to_allocate():
     # below -sys.maxsize is the same refusal, not an OverflowError
     with pytest.raises(InvalidModulusError, match="invalid-modulus: N must be >= 1"):
         fold_mod(make_sphere(1), -(2**64))
+
+
+@pytest.mark.parametrize(
+    "fold, N",
+    [
+        (lambda N: fold_mod(make_sphere(2), N), MAX_FOLD_MODULUS + 1),
+        (lambda N: binomial_fold_sums(3, N), MAX_FOLD_MODULUS + 1),
+        (lambda N: torus_identity_check(3, N), MAX_FOLD_MODULUS + 2),
+        (lambda N: roots_of_unity_residual(3, N), MAX_FOLD_MODULUS + 1),
+    ],
+    ids=["fold_mod", "binomial_fold_sums", "torus_identity_check", "roots_of_unity_residual"],
+)
+def test_every_fold_refuses_a_modulus_above_the_limit(fold, N):
+    # the first N above the limit that each function takes is refused
+    # before its N entries are allocated; the limit itself still folds
+    with pytest.raises(InvalidModulusError, match=f"^invalid-modulus: N = {N} is above the limit of 2097152$"):
+        fold(N)
+    assert len(fold_mod(make_sphere(2), MAX_FOLD_MODULUS)) == MAX_FOLD_MODULUS == 2**21
 
 
 def test_fold_mod_torus_equals_binomial_sums():
