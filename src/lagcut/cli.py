@@ -32,7 +32,9 @@ from .charnum import (
     pi1_total,
 )
 from .coring import (
+    MAX_DIGITS,
     CohomologyRing,
+    _check_digits,
     make_complex_projective,
     make_custom,
     make_product_spheres,
@@ -52,14 +54,11 @@ _SCAN_PARAMS = tuple(dict.fromkeys(p for params, *_ in FAMILIES.values() for p i
 # largest being a 9,950-row lens scan.
 MAX_LENGTH = 1 << 14
 
-# Upper bound on the decimal digits of every number the user writes: each
-# integer option, scan range end and candidate field, the numerator and
-# denominator of a rational level (exponent included, checked before the
-# literal is expanded) and each entry of a custom ring's lists.  Reports
-# double levels and print d + 2 or 2 N_e, and CPython prints ints of at
-# most 4,300 digits.
-MAX_DIGITS = 4096
-_DIGITS_BOUND = 10**MAX_DIGITS
+# MAX_DIGITS, from coring, bounds the decimal digits of every number the user
+# writes: each integer option, scan range end and candidate field, the
+# numerator and denominator of a rational level (exponent included, checked
+# before the literal is expanded) and each entry of a custom ring's lists.
+# Reports double levels, and CPython prints ints of at most 4,300 digits.
 
 
 class UsageError(Exception):
@@ -219,11 +218,6 @@ def canonical_json(doc: Any) -> str:
 def round_float(x: float) -> float:
     """Round to 9 significant digits, the only precision we render."""
     return float(f"{x:.9g}")
-
-
-def _check_digits(what: str, value: int) -> None:
-    if abs(value) >= _DIGITS_BOUND:
-        raise ValueError(f"{what} has more than {MAX_DIGITS} digits")
 
 
 def parse_rational(text: str) -> Fraction:

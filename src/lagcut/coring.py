@@ -18,6 +18,20 @@ class InvalidRingError(ValueError):
     """Raised when a candidate ring violates a structural invariant."""
 
 
+# Upper bound on the decimal digits of an integer argument of a check or a
+# ring constructor, refused before any text is formatted: labels, traces and
+# reports print their arguments, d + 2 or 2 N_e, and CPython prints ints of
+# at most 4,300 digits.  The command line applies the same bound to every
+# number the user writes.
+MAX_DIGITS = 4096
+_DIGITS_BOUND = 10**MAX_DIGITS
+
+
+def _check_digits(what: str, value: int) -> None:
+    if abs(value) >= _DIGITS_BOUND:
+        raise ValueError(f"{what} has more than {MAX_DIGITS} digits")
+
+
 # Largest torus dimension.  The binomial row of the d-torus sums to 2^d,
 # which has 2,467 decimal digits at d = 8192: every torus number the CLI
 # prints stays under CPython's default limit of 4,300 digits for int -> str.
@@ -180,6 +194,7 @@ def make_sphere(d: int) -> CohomologyRing:
 def _sphere(d: int) -> CohomologyRing:
     if d < 1:
         raise InvalidRingError("invalid-dimension: sphere needs d >= 1")
+    _check_digits("d", d)
     return CohomologyRing(f"sphere:d={d}", d, ((0, 1), (d, 1)), (d,))
 
 
@@ -189,6 +204,7 @@ def binomial_row(d: int) -> list[int]:
     One pass of C(d, k + 1) = C(d, k) * (d - k) / (k + 1), exact at each step.
     """
     if not 0 <= d <= MAX_TORUS_DIM:
+        _check_digits("d", d)
         raise InvalidRingError(
             f"invalid-dimension: torus dimension {d} is outside [0, {MAX_TORUS_DIM}]"
         )
@@ -220,6 +236,7 @@ def make_product_spheres(l: int, m: int) -> CohomologyRing:
 def _product_spheres(l: int, m: int) -> CohomologyRing:
     if l < 1 or m < l:
         raise InvalidRingError("invalid-dimension: need 1 <= l <= m")
+    _check_digits("m", m)
     d = l + m
     support = ((0, 1), (l, 2), (d, 1)) if l == m else ((0, 1), (l, 1), (m, 1), (d, 1))
     return CohomologyRing(f"prodsph:l={l},m={m}", d, support, (l, m))
@@ -230,6 +247,7 @@ def make_complex_projective(n: int) -> CohomologyRing:
     if n < 1:
         raise InvalidRingError("invalid-dimension: need n >= 1")
     if n + 1 > MAX_SUPPORT_PAIRS:
+        _check_digits("n", n)
         raise InvalidRingError(
             f"invalid-dimension: CP^{n} has {n + 1} support pairs, "
             f"above the limit of {MAX_SUPPORT_PAIRS}"
@@ -251,4 +269,6 @@ def make_custom(
     dense = [int(b) for b in betti]
     support = tuple((k, b) for k, b in enumerate(dense) if b)
     gens = tuple(sorted(int(g) for g in generator_degrees))
+    for b in dense:
+        _check_digits("a Betti number", b)
     return CohomologyRing(label, len(dense) - 1, support, gens)

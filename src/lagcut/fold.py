@@ -3,14 +3,23 @@
 All S_j arithmetic is exact big-integer arithmetic.  The trigonometric
 closed form of the roots-of-unity filter is a floating cross-check only;
 the integer side is always the authority.
+
+The verdicts fold through `_fold_ring`, which returns the text of the
+tuple S_0..S_{N-1}, its 2-periodicity and S_0 without building the N
+entries.  A ring with a class in every degree, such as the torus, folds by
+slices of its Betti list in O(dim) steps; above N = dim its text is the
+Betti numbers, converted to text once per ring, then zeros.  Any other ring
+folds by its nonzero residues in O(|support|) steps.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .coring import CohomologyRing, binomial_row
+from .coring import CohomologyRing, _check_digits, binomial_row
 
 
 # Largest N a fold takes, refused before its N entries are allocated.  Each
@@ -18,8 +27,8 @@ from .coring import CohomologyRing, binomial_row
 # which fold at every even divisor of 2 N_e, and the grading N of check_sphere.
 # A trace prints all N entries of a fold.  At 2 N_e = 2,096,640, the even number
 # under the limit with the largest sum of even divisors, `check torus --d 64
-# --format json` takes 0.2-0.3 s and 140 MB, nearly all for the 27 MB it prints;
-# `check sphere` at N = 2^21 takes 0.06 s (cli.run, CPython 3.11, 2-core VM).
+# --format json` takes 0.25-0.33 s and 143 MB, nearly all for the 27 MB it prints;
+# `check sphere` at N = 2^21 takes 0.09 s (cli.run, CPython 3.11, 2-core VM).
 MAX_FOLD_MODULUS = 1 << 21
 
 
@@ -44,6 +53,7 @@ def _fold_pairs(pairs: Iterable[tuple[int, int]], N: int) -> dict[int, int]:
     if N < 1:
         raise InvalidModulusError("invalid-modulus: N must be >= 1")
     if N > MAX_FOLD_MODULUS:
+        _check_digits("N", N)
         raise InvalidModulusError(f"invalid-modulus: N = {N} is above the limit of {MAX_FOLD_MODULUS}")
     out: dict[int, int] = {}
     for k, b in pairs:
@@ -66,8 +76,12 @@ def fold_mod(ring: CohomologyRing, N: int) -> tuple[int, ...]:
 
 
 def _fold_ring(ring: CohomologyRing, N: int) -> tuple[str, bool, int]:
-    # repr(fold_mod(ring, N)), whether it is 2-periodic, and S_0, in O(|support|) steps.  The
-    # shift by 2 permutes Z/N, so if it keeps S on the nonzero residues it keeps the zero ones.
+    # repr(fold_mod(ring, N)), whether it is 2-periodic, and S_0.  A ring with a
+    # class in every degree folds by slices; any other by residues, in
+    # O(|support|) steps.  The shift by 2 permutes Z/N, so if it keeps S on the
+    # nonzero residues it keeps the zero ones.
+    if len(ring.support) == ring.dim + 1:
+        return _fold_dense(ring, N)
     residues = _fold_pairs(ring.support, N)
     periodic = all(residues.get((j + 2) % N) == s for j, s in residues.items())
     # b_0 = 1, so S_0 opens the text; each run of zeros is written at once
@@ -77,6 +91,34 @@ def _fold_ring(ring: CohomologyRing, N: int) -> tuple[str, bool, int]:
         last = j
     parts.append(", 0" * (N - 1 - last) + (",)" if N == 1 else ")"))
     return "".join(parts), periodic, residues[0]
+
+
+def _fold_dense(ring: CohomologyRing, N: int) -> tuple[str, bool, int]:
+    # _fold_ring for a ring with every b_k >= 1, in O(dim) steps.  S holds
+    # S_0..S_{min(N, dim + 1) - 1}, every one nonzero; S_j = 0 above them.
+    # Lists and map only, no tuple(genexpr): CPython frees such a tuple of
+    # under 20 entries onto its size's free list without having taken one
+    # from it, so those lists fill up.
+    _fold_pairs((), N)  # refuses an N out of range
+    betti = list(map(itemgetter(1), ring.support))
+    if N > ring.dim:
+        S, head = betti, _betti_text(ring)
+    else:
+        S = [sum(betti[j::N]) for j in range(N)]
+        head = ", ".join(map(str, S))
+    # (j + 2) % N is at most len(S) + 1; as in _fold_ring, the shift keeps the
+    # zeros if it keeps S
+    padded = S + [0, 0]
+    periodic = all(s == padded[(j + 2) % N] for j, s in enumerate(S))
+    zeros = ", 0" * (N - len(S))
+    return f"({head}{zeros}{',)' if N == 1 else ')'}", periodic, S[0]
+
+
+@lru_cache(maxsize=1)
+def _betti_text(ring: CohomologyRing) -> str:
+    # The Betti numbers as the text of a fold at N > dim.  A check folds one
+    # ring at many such N; one entry holds at most one ring's text.
+    return ", ".join(map(str, map(itemgetter(1), ring.support)))
 
 
 def is_two_periodic(dims: Sequence[int]) -> bool:

@@ -28,7 +28,13 @@ from contextvars import ContextVar
 from math import isqrt
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
-from .coring import make_complex_projective, make_product_spheres, make_sphere, make_torus
+from .coring import (
+    _check_digits,
+    make_complex_projective,
+    make_product_spheres,
+    make_sphere,
+    make_torus,
+)
 from .fold import MAX_FOLD_MODULUS, _fold_ring
 from .floer import (
     COHOMOLOGY_MINUS_ENDS,
@@ -116,7 +122,10 @@ def _divisors(n: int) -> list[int]:
 
 
 def _check_limit(name: str, value: int, limit: int) -> None:
+    # A check refuses an argument too long to print before it formats it:
+    # here, or up front for an argument that no limit or ring bounds.
     if value > limit:
+        _check_digits(name, value)
         raise ValueError(f"{name} = {value} is above the limit of {limit}")
 
 
@@ -195,6 +204,9 @@ def check_simply_connected_in_cut(d: int, N_e: int, N: int) -> Verdict:
     depends on the parity of d: odd dimensions are excluded outright and
     even ones must carry the cohomology of a complex projective space.
     """
+    _check_digits("d", d)
+    _check_digits("N_e", N_e)
+    _check_digits("N", N)
     if d < 2:
         raise ValueError("d must be >= 2")
     if N_e < 1:
@@ -278,6 +290,7 @@ def exact_verdict(d: int, N_e: int, use_surjectivity: bool = False) -> Verdict:
 
     m divides N_e and 2m <= d + 2; the surjectivity rule keeps only m = 1.
     """
+    _check_digits("d", d)
     if d < 2:
         raise ValueError("d must be >= 2")
     if N_e < 1:
@@ -370,6 +383,9 @@ def _sphere_fold(d: int, N: int) -> tuple[tuple[TraceStep, ...], str]:
 
 def check_sphere(d: int, N_e: int, N: int) -> Verdict:
     """Obstruction pipeline for a sphere candidate at grading N."""
+    _check_digits("d", d)
+    _check_digits("N_e", N_e)
+    _check_digits("N", N)
     if d < 2:
         raise ValueError("d must be >= 2")
     if N_e < 1:
@@ -558,6 +574,7 @@ def _lens_dimension(n: int) -> tuple[TraceStep, TraceStep, TraceStep]:
 
 def check_lens(p: int, n: int) -> Verdict:
     """Admissible indices for lens-space candidates of dimension 2n + 1."""
+    _check_digits("n", n)
     if p < 2:
         raise ValueError("p must be >= 2")
     if n < 1:

@@ -11,10 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagcut import coring, obstruct
+from lagcut import cli, coring, obstruct
 from lagcut.cli import run
-from lagcut.coring import binomial_row, make_sphere, make_torus
-from lagcut.fold import _fold_ring, fold_mod
+from lagcut.coring import (
+    MAX_DIGITS,
+    binomial_row,
+    make_complex_projective,
+    make_custom,
+    make_product_spheres,
+    make_sphere,
+    make_torus,
+)
+from lagcut.fold import _fold_ring, binomial_fold_sums, fold_mod
 from lagcut.obstruct import (
     CONSTRAINED,
     INCONCLUSIVE,
@@ -432,6 +440,52 @@ def test_cost_limits_refuse_the_value_above_before_any_work(family):
     error = {"cite": "usage-error", "message": message}
     assert json.loads(out)["rows"] == [{"params": above, "verdict": None, "error": error}]
     assert time.perf_counter() - start < 0.2
+
+
+# the least int of MAX_DIGITS + 1 digits: CPython still prints it, lagcut does not take it
+TOO_LONG = 10**MAX_DIGITS
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: exact_verdict(TOO_LONG, 3), "d"),
+        (lambda: check_lens(3, TOO_LONG), "n"),
+        (lambda: check_simply_connected_in_cut(TOO_LONG, 2, 4), "d"),
+        (lambda: check_torus(TOO_LONG, 2), "d"),
+        (lambda: check_torus(3, TOO_LONG), "2 N_e"),
+        (lambda: check_product_spheres(1, TOO_LONG, 2), "m"),
+        (lambda: check_sphere(TOO_LONG, 1, 2), "d"),
+        (lambda: make_sphere(TOO_LONG), "d"),
+        (lambda: make_torus(TOO_LONG), "d"),
+        (lambda: make_product_spheres(1, TOO_LONG), "m"),
+        (lambda: make_complex_projective(TOO_LONG), "n"),
+        (lambda: make_custom([1, TOO_LONG, 1], [1]), "a Betti number"),
+        (lambda: fold_mod(make_sphere(2), TOO_LONG), "N"),
+        (lambda: binomial_fold_sums(TOO_LONG, 4), "d"),
+    ],
+    ids=[
+        "exact_verdict", "check_lens", "check_simply_connected_in_cut", "check_torus-d",
+        "check_torus-N_e", "check_product_spheres", "check_sphere", "make_sphere", "make_torus",
+        "make_product_spheres", "make_complex_projective", "make_custom", "fold_mod",
+        "binomial_fold_sums",
+    ],
+)
+def test_the_library_refuses_an_integer_too_long_to_print(call, name):
+    # refused with lagcut's digit limit, the one the command line applies,
+    # before any text formats the argument
+    assert cli.MAX_DIGITS is MAX_DIGITS == 4096
+    with pytest.raises(ValueError, match=f"^{name} has more than 4096 digits$"):
+        call()
+
+
+def test_the_digit_limit_admits_its_own_length():
+    at = TOO_LONG - 1
+    assert len(str(at)) == MAX_DIGITS
+    assert check_sphere(at, 1, 2).status == INCONCLUSIVE
+    assert make_sphere(at).dim == at
+    with pytest.raises(ValueError, match=f"^p = {at} is above the limit of {MAX_DIVISOR_SEARCH}$"):
+        check_lens(at, 3)
 
 
 # --------------------------------------------------------------------- scan

@@ -72,6 +72,8 @@ SCANS = [
 LARGE_FOLDS = [
     ["check", "torus", "--d", "64", "--euler", "720720"],
     ["check", "torus", "--d", "3", "--euler", "5040"],
+    ["check", "torus", "--d", "128", "--euler", "20160"],
+    ["check", "torus", "--d", "17", "--euler", "2520"],
     ["check", "prodsph", "--l", "100", "--m", "200", "--euler", "720720"],
     ["check", "prodsph", "--l", "9", "--m", "9", "--euler", "360"],
     ["check", "sphere", "--d", "2097153", "--euler", "1048576", "--grading", "2097152"],
