@@ -42,7 +42,7 @@ from .coring import (
     make_torus,
 )
 from .fold import fold_mod, is_two_periodic, roots_of_unity_residual, torus_identity_check
-from .obstruct import FAMILIES, HypothesisViolation, ScanRow, TraceStep, Verdict, _scan_rows
+from .obstruct import FAMILIES, MAX_SHARED_DETAIL, HypothesisViolation, ScanRow, TraceStep, Verdict, _scan_rows
 
 # every family parameter, first-seen order, so argparse messages keep it
 _SCAN_PARAMS = tuple(dict.fromkeys(p for params, *_ in FAMILIES.values() for p in params))
@@ -104,7 +104,8 @@ def _key_order(keys: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
 
 # what a rendering keeps for its whole document: for each pad, the text
 # of every TraceStep met at that pad, so a step that many rows share is
-# rendered once
+# rendered once; a step with more detail than MAX_SHARED_DETAIL is rendered
+# each time, as the scan memo does not keep it either
 _Rendered = defaultdict[str, dict[TraceStep, str]]
 
 
@@ -160,14 +161,17 @@ def _render_dict(doc: dict[str, Any], pad: str, rendered: _Rendered) -> str:
 
 def _render_steps(trace: Iterable[TraceStep], pad: str, rendered: _Rendered) -> str:
     # trace steps as {"cite", "detail"} at pad, joined as a list's items
-    # are; each distinct step is rendered once per document
+    # are; each distinct step that is not too large is rendered once per
+    # document
     texts = rendered[pad]
     inner, enc = pad + "  ", encode_basestring_ascii
     parts = []
     for s in trace:
         text = texts.get(s)
         if text is None:
-            text = texts[s] = f'{{\n{inner}"cite": {enc(s.cite)},\n{inner}"detail": {enc(s.detail)}\n{pad}}}'
+            text = f'{{\n{inner}"cite": {enc(s.cite)},\n{inner}"detail": {enc(s.detail)}\n{pad}}}'
+            if len(s.detail) <= MAX_SHARED_DETAIL:
+                texts[s] = text
         parts.append(text)
     return f",\n{pad}".join(parts)
 

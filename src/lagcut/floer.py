@@ -25,6 +25,9 @@ def ss_collapse_certificate(ring: CohomologyRing, N_L: int) -> int | None:
     if N_L < 2:
         raise ValueError("collapse bookkeeping needs N_L >= 2")
     nu = (ring.dim + 1) // N_L
+    if not nu:
+        # above dim + 1 no page carries a differential
+        return 0
     generators = set(ring.generator_degrees)
     for r in range(1, nu + 1):
         for g in generators:

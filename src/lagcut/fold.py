@@ -7,15 +7,18 @@ the integer side is always the authority.
 The verdicts fold through `_fold_ring`, which returns the text of the
 tuple S_0..S_{N-1}, its 2-periodicity and S_0 without building the N
 entries.  A ring with a class in every degree, such as the torus, folds by
-slices of its Betti list in O(dim) steps; above N = dim its text is the
-Betti numbers, converted to text once per ring, then zeros.  Any other ring
-folds by its nonzero residues in O(|support|) steps.
+slices of its Betti list in O(dim) steps.  Above N = dim its fold is its
+Betti list followed by zeros, so such a ring is read through a view built
+once per ring: the Betti list, the list padded with two zeros for the
+period-2 shift, and the list's text.  The view is kept for the last ring
+only, found by identity rather than by hashing the ring, so it holds at
+most one ring's Betti numbers and text.  Any other ring folds by its
+nonzero residues in O(|support|) steps.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -100,25 +103,34 @@ def _fold_dense(ring: CohomologyRing, N: int) -> tuple[str, bool, int]:
     # under 20 entries onto its size's free list without having taken one
     # from it, so those lists fill up.
     _fold_pairs((), N)  # refuses an N out of range
-    betti = list(map(itemgetter(1), ring.support))
     if N > ring.dim:
-        S, head = betti, _betti_text(ring)
+        S, padded, head = _dense_view(ring)
     else:
+        betti = list(map(itemgetter(1), ring.support))
         S = [sum(betti[j::N]) for j in range(N)]
-        head = ", ".join(map(str, S))
+        padded, head = S + [0, 0], ", ".join(map(str, S))
     # (j + 2) % N is at most len(S) + 1; as in _fold_ring, the shift keeps the
     # zeros if it keeps S
-    padded = S + [0, 0]
     periodic = all(s == padded[(j + 2) % N] for j, s in enumerate(S))
     zeros = ", 0" * (N - len(S))
     return f"({head}{zeros}{',)' if N == 1 else ')'}", periodic, S[0]
 
 
-@lru_cache(maxsize=1)
-def _betti_text(ring: CohomologyRing) -> str:
-    # The Betti numbers as the text of a fold at N > dim.  A check folds one
-    # ring at many such N; one entry holds at most one ring's text.
-    return ", ".join(map(str, map(itemgetter(1), ring.support)))
+# The last dense ring folded at N > dim and its view (betti, betti + [0, 0],
+# text of betti).  A check folds one ring at many such N.  The pair is
+# replaced whole, so a thread reads one ring with that ring's own view, and
+# it keeps the ring alive, so no other ring can be the same object.
+_last_view: tuple[CohomologyRing | None, tuple[list[int], list[int], str]] = (None, ([], [], ""))
+
+
+def _dense_view(ring: CohomologyRing) -> tuple[list[int], list[int], str]:
+    global _last_view
+    last, view = _last_view
+    if last is not ring:
+        betti = list(map(itemgetter(1), ring.support))
+        view = (betti, betti + [0, 0], ", ".join(map(str, betti)))
+        _last_view = (ring, view)
+    return view
 
 
 def is_two_periodic(dims: Sequence[int]) -> bool:

@@ -18,7 +18,11 @@ A scan builds each distinct trace step once.  Its loop hands each row to a
 callback as soon as the row is built (`scan` collects them, the command
 line renders and writes them); while it runs, the steps and the folds
 behind them are kept by the parameters they read, so rows that read the
-same values share TraceStep objects.  A lone check builds every step anew.
+same values share TraceStep objects.  A value whose steps hold more than
+MAX_SHARED_DETAIL characters of detail is not kept: rebuilding it costs
+about what reading its text does, and keeping every such step would grow
+a large-d scan's memory with its grid.  A lone check builds every step
+anew.
 """
 
 from __future__ import annotations
@@ -134,18 +138,35 @@ def _check_limit(name: str, value: int, limit: int) -> None:
 # between scans and a check called on its own builds everything.
 _SCAN_MEMO: ContextVar[dict[tuple, Any] | None] = ContextVar("lagcut_scan_memo", default=None)
 
+# Most characters of TraceStep detail a memoized value may hold, here and in
+# the command line's per-document text of each step.  A sweep's steps hold
+# under 1 KB; a fold step at large d holds megabytes.
+MAX_SHARED_DETAIL = 1 << 16
+
+
+def _detail_size(value: Any) -> int:
+    # the characters of detail in the TraceSteps of a built value, which is
+    # a step or a tuple holding steps and tuples of them
+    if type(value) is TraceStep:
+        return len(value.detail)
+    if type(value) is tuple:
+        return sum(map(_detail_size, value))
+    return 0
+
 
 def _shared(build: Callable[..., Any], *args: Any) -> Any:
-    # build(*args), built once per scan for each distinct argument tuple.
-    # The key holds the argument types, as the ring memos do, so a step for
-    # True is not the step for 1.
+    # build(*args), built once per scan for each distinct argument tuple
+    # unless its steps are too large to keep.  The key holds the argument
+    # types, as the ring memos do, so a step for True is not the step for 1.
     memo = _SCAN_MEMO.get()
     if memo is None:
         return build(*args)
     key = (build, *args, *map(type, args))
     value = memo.get(key)
     if value is None:
-        value = memo[key] = build(*args)
+        value = build(*args)
+        if _detail_size(value) <= MAX_SHARED_DETAIL:
+            memo[key] = value
     return value
 
 
@@ -682,5 +703,7 @@ def _scan_rows(
                 cite = exc.cite if isinstance(exc, HypothesisViolation) else "usage-error"
                 row = ScanRow(params, None, {"cite": cite, "message": str(exc)})
             emit(row)
+            # the next row's check runs without this row held
+            del row
     finally:
         _SCAN_MEMO.reset(token)

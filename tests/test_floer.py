@@ -1,6 +1,8 @@
 """Tests for the Maslov-range, sphere-local and collapse rules."""
 
 import pytest
+from hypothesis import given, settings
+from test_fold import rings
 
 from lagcut.coring import make_product_spheres, make_torus
 from lagcut.floer import (
@@ -31,6 +33,25 @@ def test_collapse_certificate_refused_when_target_occupied():
 def test_collapse_certificate_product_spheres():
     # generators in degrees 2 and 4 land in degrees -3 and -1 on page 1
     assert ss_collapse_certificate(make_product_spheres(2, 4), 6) == 1
+
+
+def brute_certificate(ring, N_L):
+    # every target g + 1 - r N_L of every generator g on pages r = 1..nu
+    betti = dict(ring.support)
+    nu = (ring.dim + 1) // N_L
+    for r in range(1, nu + 1):
+        for g in ring.generator_degrees:
+            if betti.get(g + 1 - r * N_L, 0):
+                return None
+    return nu
+
+
+@settings(max_examples=200, deadline=None)
+@given(rings)
+def test_collapse_certificate_matches_the_brute_force_oracle(ring):
+    # past N_L = dim + 1 no page carries a differential, so nu = 0
+    for N_L in range(2, 3 * ring.dim + 6):
+        assert ss_collapse_certificate(ring, N_L) == brute_certificate(ring, N_L), (ring.label, N_L)
 
 
 def test_collapse_certificate_validates_grading():

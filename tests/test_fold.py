@@ -1,6 +1,8 @@
 """Tests for Z/N folding, the sum identities, and the trig cross-check."""
 
 import random
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -93,11 +95,52 @@ def test_residue_fold_matches_the_dense_fold(ring, other, seed):
     moduli = {1, 2, dim, dim + 1, dim + 2, dim + 3, 1 + seed % (3 * dim + 5)}
     for N in sorted(moduli):
         assert_folds_as_fold_mod(ring, N)
-    # a dense ring's text at N > dim is kept for one ring: folding another
+    # a dense ring's view at N > dim is kept for one ring: folding another
     # between two folds of this one makes the memo miss, then hit
     for N in (max(dim, other.dim) + 1, max(dim, other.dim) + 3):
         for r in (ring, other, other, ring, ring):
             assert_folds_as_fold_mod(r, N)
+    # the view is found by identity: two rings equal in value are two entries
+    betti = [b for _, b in other.support]
+    twins = make_custom(betti, [1]), make_custom(betti, [1])
+    assert twins[0] == twins[1] and twins[0] is not twins[1]
+    for N in (other.dim + 1, other.dim + 4):
+        for r in (twins[0], twins[1], twins[1], twins[0], other, twins[0]):
+            assert_folds_as_fold_mod(r, N)
+
+
+def test_threads_folding_two_dense_rings_read_their_own_views():
+    # Each thread alternates the one-entry view between its ring and the
+    # other's; a fold that read one ring with the other ring's view would
+    # print the wrong Betti numbers.
+    dense = make_torus(160), make_custom([1, *range(2, 80), *range(80, 1, -1), 1], [1])
+    moduli = (161, 162, 170, 200)
+    expected = {(r.dim, N): fold_mod(r, N) for r in dense for N in moduli}
+    failures = []
+    # two threads per ring, so they outnumber the cores of a small host
+    start = threading.Barrier(2 * len(dense))
+
+    def fold_many(ring):
+        start.wait()
+        for _ in range(2000):
+            for N in moduli:
+                folded = expected[ring.dim, N]
+                if _fold_ring(ring, N) != (repr(folded), is_two_periodic(folded), folded[0]):
+                    failures.append((ring.label, N))
+                    return
+
+    threads = [threading.Thread(target=fold_many, args=(r,)) for r in dense * 2]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
 
 
 def test_dense_folds_hold_no_more_memory_as_they_repeat():

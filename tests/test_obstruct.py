@@ -585,6 +585,32 @@ def test_rows_share_the_steps_that_read_the_same_values():
     assert rows[0].verdict.constraints is not rows[1].verdict.constraints
 
 
+def test_a_scan_keeps_no_value_with_more_detail_than_the_limit(monkeypatch):
+    # At d = 1024 the fold step at N = 360 holds about 110,000 characters.
+    # A row rebuilds each step that large, and reads the small ones that an
+    # earlier row built.
+    def gradings(N_e):
+        return {N for N in range(4, 2 * N_e + 1, 2) if 2 * N_e % N == 0}
+
+    def detail(N):
+        return obstruct._detail_size(obstruct._torus_grading(1024, N))
+
+    large = {N for N in gradings(180) if detail(N) > obstruct.MAX_SHARED_DETAIL}
+    assert large and large != gradings(180)
+    folds = counting(monkeypatch, obstruct, "_fold_ring")
+    kept, rows = [], []
+
+    def emit(row):
+        kept.append(max(map(obstruct._detail_size, obstruct._SCAN_MEMO.get().values())))
+        rows.append(row)
+
+    scan_rows("torus", {"d": [1024], "euler": [180, 360]}, emit)
+    assert 0 < max(kept) <= obstruct.MAX_SHARED_DETAIL
+    assert len(folds) == len(gradings(180)) + len(large) + len(gradings(360) - gradings(180))
+    monkeypatch.undo()
+    assert [r.verdict for r in rows] == [check_torus(1024, 180), check_torus(1024, 360)]
+
+
 def check_torus_folds(monkeypatch, d, N_e):
     folds = counting(monkeypatch, obstruct, "_fold_ring")
     first = check_torus(d, N_e)

@@ -177,6 +177,27 @@ def test_a_reader_that_stops_early_ends_the_scan_without_a_traceback():
         assert proc.stderr.read() == b""
 
 
+def large_d_scan(rows):
+    # rows of the 4,096-torus ending at N_e = 720; the folds at large N
+    # print up to 1.5 MB each, above obstruct.MAX_SHARED_DETAIL
+    return ["scan", "--family", "torus", "--d", "4096", "--euler", f"{721 - rows}..720", "--format", "json"]
+
+
+def test_a_large_d_scan_keeps_no_step_of_an_earlier_row():
+    # Every row folds the one ring at gradings that other rows share, so
+    # memoizing each distinct step kept megabytes per row until the scan
+    # ended: 8 rows once peaked at 87 MB and 16 at 139 MB.  Kept to what
+    # one row holds, the scan peaks near the lone check of its largest row,
+    # which holds the same ring, whatever its row count.
+    lone_code, _, lone = peak("main", ["check", "torus", "--d", "4096", "--euler", "720", "--format", "json"])
+    peaks = {}
+    for rows in (8, 16):
+        code, _, peaks[rows] = peak("main", large_d_scan(rows))
+        assert code == lone_code == 0
+    assert peaks[16] <= lone + 16 * 2**20
+    assert peaks[16] <= peaks[8] + 8 * 2**20
+
+
 def large_batch(tmp_path, *entries):
     # a batch file of the entries, then the large scan
     path = tmp_path / "batch.json"
