@@ -1,10 +1,10 @@
 """Obstruction calculus for monotone Lagrangians in symplectic cuts.
 
 The package is organised by mechanism: `coring` builds graded cohomology
-rings, `fold` reduces them mod N and checks distribution identities,
-`charnum` does the exact characteristic-number arithmetic of the cut,
-`floer` encodes the profile and collapse rules, `obstruct` combines them
-into verdicts, and `cli` exposes everything on the command line.
+rings, `fold` reduces them mod N and tests 2-periodicity, `charnum` does
+the exact characteristic-number arithmetic of the cut, `floer` encodes the
+profile and collapse rules, `obstruct` combines them into verdicts, and
+`cli` exposes everything on the command line.
 """
 
 from .charnum import (
@@ -39,12 +39,9 @@ from .floer import (
 )
 from .fold import (
     InvalidModulusError,
-    TorusIdentityReport,
-    binomial_fold_sums,
     fold_mod,
     is_two_periodic,
     roots_of_unity_residual,
-    torus_identity_check,
 )
 from .obstruct import (
     CONSTRAINED,
@@ -80,12 +77,10 @@ __all__ = [
     "OBSTRUCTED",
     "ScanRow",
     "TorsionConstraint",
-    "TorusIdentityReport",
     "TraceStep",
     "UndeterminableError",
     "Verdict",
     "ZeroSectionReport",
-    "binomial_fold_sums",
     "build_cut",
     "check_lens",
     "check_product_spheres",
@@ -110,5 +105,4 @@ __all__ = [
     "scan",
     "sphere_local_rule",
     "ss_collapse_certificate",
-    "torus_identity_check",
 ]

@@ -41,7 +41,7 @@ from .coring import (
     make_sphere,
     make_torus,
 )
-from .fold import fold_mod, is_two_periodic, roots_of_unity_residual, torus_identity_check
+from .fold import InvalidModulusError, fold_mod, is_two_periodic, roots_of_unity_residual
 from .obstruct import FAMILIES, MAX_SHARED_DETAIL, HypothesisViolation, ScanRow, TraceStep, Verdict, _scan_rows
 
 # every family parameter, first-seen order, so argparse messages keep it
@@ -227,8 +227,11 @@ def round_float(x: float) -> float:
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q' or a decimal literal into an exact rational.
 
-    Its numerator and denominator may have at most MAX_DIGITS digits.
+    Its numerator and denominator may have at most MAX_DIGITS digits.  Digit
+    underscores are refused: Fraction reads them only from Python 3.11 on.
     """
+    if "_" in text:
+        raise ValueError(f"bad rational literal {text!r}")
     exponent = text.lower().partition("e")[2].strip().lstrip("+-").lstrip("0")
     if exponent.isdecimal() and (
         len(exponent) > len(str(MAX_DIGITS)) or int(exponent) > MAX_DIGITS
@@ -499,16 +502,18 @@ def _cmd_identity(ns: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     if ns.d < 1:
         raise ValueError("--d must be >= 1")
     _check_length("--modulus", ns.modulus)
-    report = torus_identity_check(ns.d, ns.modulus)
-    residual = roots_of_unity_residual(ns.d, ns.modulus)
+    if ns.modulus < 2 or ns.modulus % 2:
+        raise InvalidModulusError("invalid-modulus: identity requires even N >= 2")
+    # the even- and odd-index binomial sums are each 2^(d-1): 2-periodic iff every N S_j = 2^d
+    S = fold_mod(make_torus(ns.d), ns.modulus)
     doc = {
         "d": ns.d,
         "N": ns.modulus,
-        "S": list(report.sums),
-        "NS0": report.NS0,
-        "pow": report.pow,
-        "holds": report.holds,
-        "residual": round_float(residual),
+        "S": list(S),
+        "NS0": ns.modulus * S[0],
+        "pow": 1 << ns.d,
+        "holds": is_two_periodic(S),
+        "residual": round_float(roots_of_unity_residual(ns.d, ns.modulus)),
     }
     return 0, doc
 

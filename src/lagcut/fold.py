@@ -1,8 +1,11 @@
-"""Folding graded cohomology into a Z/N grading and the S_j sum identities.
+"""Folding graded cohomology into a Z/N grading, and the torus sum identity.
 
 All S_j arithmetic is exact big-integer arithmetic.  The trigonometric
 closed form of the roots-of-unity filter is a floating cross-check only;
 the integer side is always the authority.
+
+A torus folds like any other ring, `fold_mod(make_torus(d), N)`; for even
+N its sum identity, N S_j = 2^d for every j, is the fold's 2-periodicity.
 
 The verdicts fold through `_fold_ring`, which returns the text of the
 tuple S_0..S_{N-1}, its 2-periodicity and S_0 without building the N
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .coring import CohomologyRing, _check_digits, binomial_row
 
@@ -39,25 +42,17 @@ class InvalidModulusError(ValueError):
     """Raised for moduli outside an operation's domain."""
 
 
-class TorusIdentityReport(NamedTuple):
-    """Outcome of the equidistribution identity N*S_j = 2^d for the torus.
-
-    sums holds S_0..S_{N-1}, the fold of the binomial row the test read.
-    """
-
-    holds: bool
-    NS0: int
-    pow: int
-    sums: tuple[int, ...]
-
-
-def _fold_pairs(pairs: Iterable[tuple[int, int]], N: int) -> dict[int, int]:
-    # {j: S_j} for the nonzero S_j, S_j summing the dimensions b > 0 of the pairs (k, b), k = j mod N
+def _check_modulus(N: int) -> None:
     if N < 1:
         raise InvalidModulusError("invalid-modulus: N must be >= 1")
     if N > MAX_FOLD_MODULUS:
         _check_digits("N", N)
         raise InvalidModulusError(f"invalid-modulus: N = {N} is above the limit of {MAX_FOLD_MODULUS}")
+
+
+def _fold_pairs(pairs: Iterable[tuple[int, int]], N: int) -> dict[int, int]:
+    # {j: S_j} for the nonzero S_j, S_j summing the dimensions b > 0 of the pairs (k, b), k = j mod N
+    _check_modulus(N)
     out: dict[int, int] = {}
     for k, b in pairs:
         j = k % N
@@ -65,17 +60,13 @@ def _fold_pairs(pairs: Iterable[tuple[int, int]], N: int) -> dict[int, int]:
     return out
 
 
-def _dense(pairs: Iterable[tuple[int, int]], N: int) -> tuple[int, ...]:
-    residues = _fold_pairs(pairs, N)  # refuses an N out of range before allocating
+def fold_mod(ring: CohomologyRing, N: int) -> tuple[int, ...]:
+    """Fold the Betti numbers of a ring into the Z/N grading: S_0..S_{N-1}."""
+    residues = _fold_pairs(ring.support, N)  # refuses an N out of range before allocating
     out = [0] * N
     for j, s in residues.items():
         out[j] = s
     return tuple(out)
-
-
-def fold_mod(ring: CohomologyRing, N: int) -> tuple[int, ...]:
-    """Fold the Betti numbers of a ring into the Z/N grading: S_0..S_{N-1}."""
-    return _dense(ring.support, N)
 
 
 def _fold_ring(ring: CohomologyRing, N: int) -> tuple[str, bool, int]:
@@ -102,7 +93,7 @@ def _fold_dense(ring: CohomologyRing, N: int) -> tuple[str, bool, int]:
     # Lists and map only, no tuple(genexpr): CPython frees such a tuple of
     # under 20 entries onto its size's free list without having taken one
     # from it, so those lists fill up.
-    _fold_pairs((), N)  # refuses an N out of range
+    _check_modulus(N)
     if N > ring.dim:
         S, padded, head = _dense_view(ring)
     else:
@@ -139,28 +130,6 @@ def is_two_periodic(dims: Sequence[int]) -> bool:
     return all(dims[j] == dims[(j + 2) % N] for j in range(N))
 
 
-def binomial_fold_sums(d: int, N: int) -> tuple[int, ...]:
-    """Exact S_0(d, N), ..., S_{N-1}(d, N), where S_j sums C(d, j + k*N) over k."""
-    return _dense(enumerate(binomial_row(d)), N)
-
-
-def torus_identity_check(d: int, N: int) -> TorusIdentityReport:
-    """Test whether all S_j(d, N) are equal with common value 2^d / N.
-
-    Defined for even N only: the derivation splits the fold into even and
-    odd index sums, each totalling 2^(d-1).
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if N < 2 or N % 2 != 0:
-        raise InvalidModulusError("invalid-modulus: identity requires even N >= 2")
-    sums = binomial_fold_sums(d, N)
-    pow2 = 1 << d
-    ns0 = N * sums[0]
-    holds = all(s == sums[0] for s in sums) and ns0 == pow2
-    return TorusIdentityReport(holds=holds, NS0=ns0, pow=pow2, sums=sums)
-
-
 def roots_of_unity_residual(d: int, N: int) -> float:
     """Relative gap between N*S_0 - 2^d and its trigonometric closed form.
 
@@ -174,7 +143,9 @@ def roots_of_unity_residual(d: int, N: int) -> float:
         raise ValueError("d must be >= 0")
     if N < 2:
         raise InvalidModulusError("invalid-modulus: N must be >= 2")
-    left = N * binomial_fold_sums(d, N)[0] - (1 << d)
+    row = binomial_row(d)
+    _check_modulus(N)
+    left = N * sum(row[::N]) - (1 << d)
     trig = 0.0
     for k in range(1, N):
         trig += math.cos(math.pi * k / N) ** d * math.cos(math.pi * k * d / N)

@@ -31,6 +31,7 @@ from lagcut.cli import (
 )
 from lagcut.coring import MAX_REDUCED_DEGREE, MAX_SUPPORT_PAIRS, MAX_TORUS_DIM
 from lagcut.obstruct import FAMILIES, ScanRow, TraceStep, Verdict, exact_verdict, scan
+from oracles import brute_fold, pascal_row
 
 
 def run_json(argv):
@@ -229,9 +230,11 @@ def test_classes_rejects_nonnegative_level():
 
 
 def test_classes_rejects_bad_rational():
-    for bad in ("abc", "1/0"):
+    # Fraction reads digit underscores only from Python 3.11 on, so a level
+    # with one is refused on every interpreter
+    for bad in ("abc", "1/0", "-1_0/3", "-1/2_0"):
         code, out = run(["classes", "--euler", "1", "--level", bad])
-        assert code == 1
+        assert (code, out) == (1, f"error [usage-error]: bad rational literal {bad!r}\n")
 
 
 def test_classes_json_roundtrip():
@@ -278,6 +281,34 @@ def test_identity_rejects_odd_modulus():
     code, out = run(["identity", "--d", "5", "--modulus", "3"])
     assert code == 1
     assert "even" in out
+
+
+def test_identity_reports_the_folded_binomial_row():
+    # the report against the Pascal row folded by the reference bucketing,
+    # and holds against its definition: every S_j equal and N*S_0 = 2^d
+    for d in range(1, 41):
+        row = pascal_row(d)
+        for N in range(2, 3 * d + 5, 2):
+            code, doc = run_json(["identity", "--d", str(d), "--modulus", str(N)])
+            S = brute_fold(row, N)
+            assert code == 0
+            assert doc["S"] == S, (d, N)
+            assert (doc["NS0"], doc["pow"]) == (N * S[0], 1 << d), (d, N)
+            assert doc["holds"] is (len(set(S)) == 1 and N * S[0] == 1 << d), (d, N)
+
+
+@pytest.mark.parametrize(
+    "d, N, message",
+    [
+        # the modulus is refused before the torus dimension is read
+        ("9000", "3", "invalid-modulus: identity requires even N >= 2"),
+        ("9000", "4", "invalid-dimension: torus dimension 9000 is outside [0, 8192]"),
+        ("5", "0", "invalid-modulus: identity requires even N >= 2"),
+        ("5", "-4", "invalid-modulus: identity requires even N >= 2"),
+    ],
+)
+def test_identity_refusals(d, N, message):
+    assert run(["identity", "--d", d, "--modulus", N]) == (1, f"error [usage-error]: {message}\n")
 
 
 def test_identity_json_roundtrip():
@@ -1100,6 +1131,9 @@ def test_parse_rational():
     assert parse_rational("0.25") == Fraction(1, 4)
     with pytest.raises(ValueError):
         parse_rational("1/0")
+    for bad in ("-1_0/3", "-1/2_0"):
+        with pytest.raises(ValueError, match="^bad rational literal"):
+            parse_rational(bad)
 
 
 def test_parse_candidate_labels():

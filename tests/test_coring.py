@@ -34,7 +34,7 @@ from lagcut.coring import (
     make_torus,
 )
 from lagcut.floer import ss_collapse_certificate
-from lagcut.fold import fold_mod, torus_identity_check
+from lagcut.fold import fold_mod
 from lagcut.obstruct import ScanRow, TraceStep, Verdict
 from oracles import pascal_row
 
@@ -425,7 +425,7 @@ def test_poincare_duality_all_constructors():
 
 
 def one_of_each_record():
-    # each of the package's nine records, with a field to try to assign
+    # each of the package's eight records, with a field to try to assign
     bundle = CircleBundle(3, 2)
     ctx = build_cut(bundle, "-1/2")
     step = TraceStep("cite", "detail")
@@ -436,7 +436,6 @@ def one_of_each_record():
         (ctx, "level"),
         (maslov_zero_section(ctx), "N_V"),
         (maslov_torsion_constraint(3, 4), "modulus"),
-        (torus_identity_check(4, 2), "holds"),
         (step, "detail"),
         (verdict, "status"),
         (ScanRow({"d": 3}, verdict, None), "error"),
@@ -445,7 +444,7 @@ def one_of_each_record():
 
 def test_records_are_immutable():
     records = one_of_each_record()
-    assert len({type(record) for record, _ in records}) == 9
+    assert len({type(record) for record, _ in records}) == 8
     for record, field in records:
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))

@@ -1,5 +1,6 @@
 """Tests for Z/N folding, the sum identities, and the trig cross-check."""
 
+import json
 import random
 import sys
 import threading
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lagcut.cli import run
 from lagcut.coring import (
     MAX_TORUS_DIM,
     InvalidRingError,
@@ -22,11 +24,9 @@ from lagcut.fold import (
     MAX_FOLD_MODULUS,
     InvalidModulusError,
     _fold_ring,
-    binomial_fold_sums,
     fold_mod,
     is_two_periodic,
     roots_of_unity_residual,
-    torus_identity_check,
 )
 from oracles import brute_fold, pascal_row
 
@@ -183,11 +183,11 @@ def test_fold_refuses_a_modulus_too_negative_to_allocate():
     "fold, N",
     [
         (lambda N: fold_mod(make_sphere(2), N), MAX_FOLD_MODULUS + 1),
-        (lambda N: binomial_fold_sums(3, N), MAX_FOLD_MODULUS + 1),
-        (lambda N: torus_identity_check(3, N), MAX_FOLD_MODULUS + 2),
+        (lambda N: fold_mod(make_torus(3), N), MAX_FOLD_MODULUS + 1),
+        (lambda N: _fold_ring(make_torus(3), N), MAX_FOLD_MODULUS + 1),
         (lambda N: roots_of_unity_residual(3, N), MAX_FOLD_MODULUS + 1),
     ],
-    ids=["fold_mod", "binomial_fold_sums", "torus_identity_check", "roots_of_unity_residual"],
+    ids=["fold_mod", "fold_mod_torus", "_fold_ring_dense", "roots_of_unity_residual"],
 )
 def test_every_fold_refuses_a_modulus_above_the_limit(fold, N):
     # the first N above the limit that each function takes is refused
@@ -198,32 +198,31 @@ def test_every_fold_refuses_a_modulus_above_the_limit(fold, N):
 
 
 def test_fold_mod_torus_equals_binomial_sums():
-    # both read the one binomial row, so both are checked against the
-    # additive Pascal recurrence folded by the reference bucketing
+    # the torus reads the binomial row, checked against the additive Pascal
+    # recurrence folded by the reference bucketing
     for d in (3, 8, 11):
         for N in range(1, d + 4):
             expected = tuple(brute_fold(pascal_row(d), N))
             assert fold_mod(make_torus(d), N) == expected
-            assert binomial_fold_sums(d, N) == expected
 
 
 def test_binomial_fold_frozen_table_d8_n4():
     # hand checked: 1+70+1, 8+56, 28+28, 56+8
-    assert binomial_fold_sums(8, 4) == (72, 64, 56, 64)
+    assert fold_mod(make_torus(8), 4) == (72, 64, 56, 64)
 
 
 def test_binomial_fold_rejects_bad_arguments():
     with pytest.raises(InvalidModulusError):
-        binomial_fold_sums(5, 0)
+        fold_mod(make_torus(5), 0)
 
 
 def test_torus_fold_mod_two_splits_evenly():
     assert fold_mod(make_torus(3), 2) == (4, 4)
     # the even/odd split of binomials is exact for every d
     for d in range(1, 21):
-        report = torus_identity_check(d, 2)
-        assert report.holds
-        assert report.NS0 == 1 << d
+        S = fold_mod(make_torus(d), 2)
+        assert S[0] == S[1]
+        assert 2 * S[0] == 1 << d
 
 
 def test_sphere_fold_frozen():
@@ -232,37 +231,44 @@ def test_sphere_fold_frozen():
     assert fold_mod(make_sphere(5), 8) == (1, 0, 0, 0, 0, 1, 0, 0)
 
 
+def identity(d, N):
+    code, out = run(["identity", "--d", str(d), "--modulus", str(N), "--format", "json"])
+    assert code == 0, out
+    return json.loads(out)
+
+
 def test_identity_check_fails_for_d8_n4():
-    report = torus_identity_check(8, 4)
-    assert not report.holds
-    assert report.sums == (72, 64, 56, 64)
-    assert report.NS0 == 288
-    assert report.pow == 256
+    report = identity(8, 4)
+    assert not report["holds"]
+    assert report["S"] == [72, 64, 56, 64]
+    assert report["NS0"] == 288
+    assert report["pow"] == 256
 
 
 def test_identity_check_needs_equal_entries_not_just_ns0():
     # d = 6, N = 4 has N*S_0 = 2^d yet unequal folds, so it must fail
-    report = torus_identity_check(6, 4)
-    assert report.NS0 == report.pow == 64
-    assert not report.holds
+    report = identity(6, 4)
+    assert report["NS0"] == report["pow"] == 64
+    assert not report["holds"]
     assert fold_mod(make_torus(6), 4) == (16, 12, 16, 20)
 
 
 def test_identity_check_rejects_odd_modulus():
-    with pytest.raises(InvalidModulusError):
-        torus_identity_check(5, 3)
-    with pytest.raises(InvalidModulusError):
-        torus_identity_check(5, 1)
+    for N in (3, 1):
+        code, out = run(["identity", "--d", "5", "--modulus", str(N)])
+        assert (code, out) == (1, "error [usage-error]: invalid-modulus: identity requires even N >= 2\n")
 
 
 def test_torus_fold_periodicity_matches_identity():
     # for even N the even and odd binomial sums are each 2^(d-1), so a
-    # 2-periodic torus fold is an equidistributed one
+    # 2-periodic torus fold is an equidistributed one: every S_j equal and
+    # N*S_0 = 2^d
     for d in range(1, 41):
         ring = make_torus(d)
         for N in range(4, 3 * d + 1, 2):
-            periodic = is_two_periodic(fold_mod(ring, N))
-            assert periodic == torus_identity_check(d, N).holds, (d, N)
+            S = fold_mod(ring, N)
+            equidistributed = len(set(S)) == 1 and N * S[0] == 1 << d
+            assert is_two_periodic(S) == equidistributed, (d, N)
 
 
 def test_two_periodicity():
@@ -291,19 +297,23 @@ def test_two_periodic_odd_modulus_forces_all_equal():
 def test_pascal_induction_spot_check():
     for d in (4, 9, 17):
         for N in range(1, d + 3):
-            lhs = binomial_fold_sums(d + 1, N)
-            sums = binomial_fold_sums(d, N)
+            lhs = fold_mod(make_torus(d + 1), N)
+            sums = fold_mod(make_torus(d), N)
             for j in range(N):
                 assert lhs[j] == sums[j] + sums[(j - 1) % N]
 
 
 def test_binomial_fold_against_pascal_oracle():
-    for d in (0, 5, 12):
+    for d in (5, 12):
         row = pascal_row(d)
         for N in (2, 3, 7):
-            assert binomial_fold_sums(d, N) == tuple(
+            assert fold_mod(make_torus(d), N) == tuple(
                 sum(row[i] for i in range(j, d + 1, N)) for j in range(N)
             )
+    # d = 0 is no torus; the residual reads its row, S_0 = 1, and its N - 1
+    # trig terms are each exactly 1
+    for N in (2, 3, 7):
+        assert roots_of_unity_residual(0, N) == 0.0
 
 
 def test_trig_residual_small_on_samples():
@@ -314,21 +324,22 @@ def test_trig_residual_small_on_samples():
 
 def test_torus_dimension_bound():
     # the sums at the limit render under the default int -> str limit
-    sums = binomial_fold_sums(MAX_TORUS_DIM, 4)
+    sums = fold_mod(make_torus(MAX_TORUS_DIM), 4)
     assert sum(sums) == 1 << MAX_TORUS_DIM
     assert len(str(max(sums))) < 4300
-    report = torus_identity_check(MAX_TORUS_DIM, 4)
-    assert report.sums == sums and report.NS0 == 4 * sums[0]
-    assert torus_identity_check(MAX_TORUS_DIM, 2).holds
+    report = identity(MAX_TORUS_DIM, 4)
+    assert report["S"] == list(sums) and report["NS0"] == 4 * sums[0]
+    assert identity(MAX_TORUS_DIM, 2)["holds"]
     assert roots_of_unity_residual(MAX_TORUS_DIM, 4) < 1e-9
     d = MAX_TORUS_DIM + 1
     for call in (
-        lambda: binomial_fold_sums(d, 4),
-        lambda: torus_identity_check(d, 4),
+        lambda: fold_mod(make_torus(d), 4),
         lambda: roots_of_unity_residual(d, 4),
     ):
         with pytest.raises(InvalidRingError, match=f"torus dimension {d} is outside"):
             call()
+    code, out = run(["identity", "--d", str(d), "--modulus", "4"])
+    assert (code, out) == (1, f"error [usage-error]: invalid-dimension: torus dimension {d} is outside [0, 8192]\n")
 
 
 def test_trig_residual_rejects_bad_modulus():

@@ -22,7 +22,7 @@ from lagcut.coring import (
     make_sphere,
     make_torus,
 )
-from lagcut.fold import _fold_ring, binomial_fold_sums, fold_mod
+from lagcut.fold import _fold_ring, fold_mod, roots_of_unity_residual
 from lagcut.obstruct import (
     CONSTRAINED,
     INCONCLUSIVE,
@@ -462,13 +462,13 @@ TOO_LONG = 10**MAX_DIGITS
         (lambda: make_complex_projective(TOO_LONG), "n"),
         (lambda: make_custom([1, TOO_LONG, 1], [1]), "a Betti number"),
         (lambda: fold_mod(make_sphere(2), TOO_LONG), "N"),
-        (lambda: binomial_fold_sums(TOO_LONG, 4), "d"),
+        (lambda: roots_of_unity_residual(TOO_LONG, 4), "d"),
     ],
     ids=[
         "exact_verdict", "check_lens", "check_simply_connected_in_cut", "check_torus-d",
         "check_torus-N_e", "check_product_spheres", "check_sphere", "make_sphere", "make_torus",
         "make_product_spheres", "make_complex_projective", "make_custom", "fold_mod",
-        "binomial_fold_sums",
+        "roots_of_unity_residual",
     ],
 )
 def test_the_library_refuses_an_integer_too_long_to_print(call, name):
