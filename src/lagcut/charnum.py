@@ -15,9 +15,13 @@ from typing import NamedTuple
 class NotMonotoneLevelError(ValueError):
     """Raised when a cut level does not produce a monotone cut (xi >= 0)."""
 
+    cite = "not-monotone-level"
+
 
 class UndeterminableError(ValueError):
     """Raised when a quantity is not determined by the stored hypotheses."""
+
+    cite = "undeterminable"
 
 
 class _BundleFields(NamedTuple):

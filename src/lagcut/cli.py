@@ -16,21 +16,13 @@ import argparse
 import json
 import os
 import sys
-from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from .charnum import (
-    CircleBundle,
-    NotMonotoneLevelError,
-    UndeterminableError,
-    build_cut,
-    maslov_zero_section,
-    pi1_total,
-)
+from .charnum import CircleBundle, build_cut, maslov_zero_section, pi1_total
 from .coring import (
     MAX_DIGITS,
     CohomologyRing,
@@ -42,20 +34,17 @@ from .coring import (
     make_torus,
 )
 from .fold import InvalidModulusError, fold_mod, is_two_periodic, roots_of_unity_residual
-from .obstruct import FAMILIES, MAX_SHARED_DETAIL, HypothesisViolation, ScanRow, TraceStep, Verdict, _scan_rows
+from .obstruct import (
+    FAMILIES, MAX_LENGTH, MAX_SHARED_DETAIL, HypothesisViolation, ScanRow, TraceStep, Verdict,
+    _check_length, _scan_rows,
+)
 
 # every family parameter, first-seen order, so argparse messages keep it
 _SCAN_PARAMS = tuple(dict.fromkeys(p for params, *_ in FAMILIES.values() for p in params))
 
-# Upper bound on a length the user sets, checked before allocating: the
-# --modulus of fold and identity (one entry or binomial sum per residue) and
-# the points of a scan grid (one verdict per point; main writes each row as it
-# is rendered, run joins them).  It sits above every documented input, the
-# largest being a 9,950-row lens scan.
-MAX_LENGTH = 1 << 14
-
-# MAX_DIGITS, from coring, bounds the decimal digits of every number the user
-# writes: each integer option, scan range end and candidate field, the
+# MAX_LENGTH, from obstruct, bounds a scan grid and the --modulus of fold and
+# identity.  MAX_DIGITS, from coring, bounds the decimal digits of every number
+# the user writes: each integer option, scan range end and candidate field, the
 # numerator and denominator of a rational level (exponent included, checked
 # before the literal is expanded) and each entry of a custom ring's lists.
 # Reports double levels, and CPython prints ints of at most 4,300 digits.
@@ -102,27 +91,20 @@ def _key_order(keys: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
     return tuple((k, f"{encode_basestring_ascii(k)}: ") for k in sorted(keys))
 
 
-# what a rendering keeps for its whole document: for each pad, the text
-# of every TraceStep met at that pad, so a step that many rows share is
-# rendered once; a step with more detail than MAX_SHARED_DETAIL is rendered
-# each time, as the scan memo does not keep it either
-_Rendered = defaultdict[str, dict[TraceStep, str]]
-
-
-def _render(doc: Any, pad: str, rendered: _Rendered) -> str:
+def _render(doc: Any, pad: str) -> str:
     # The exact container types are tested first, and a container renders
     # its scalar children in its own loop, through _SCALARS, instead of
     # calling _render once per scalar.
     kind = type(doc)
     if kind is dict:
-        return _render_dict(doc, pad, rendered)
+        return _render_dict(doc, pad)
     if kind is not list and kind is not tuple:
         scalar = _SCALARS.get(kind)
         if scalar is not None:
             return scalar(doc)
         result = _RESULTS.get(kind)
         if result is not None:
-            return result(doc, pad, rendered)
+            return result(doc, pad)
         kind = next((base for base in _BASES if isinstance(doc, base)), None)
         if kind is None:
             raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
@@ -130,19 +112,19 @@ def _render(doc: Any, pad: str, rendered: _Rendered) -> str:
             return _SCALARS[kind](doc)
         if kind is dict:
             # read a mapping subclass through items(), as json does
-            return _render_dict(dict(doc.items()), pad, rendered)
+            return _render_dict(dict(doc.items()), pad)
     if not doc:
         return "[]"
     get, inner = _SCALARS.get, pad + "  "
     parts = []
     for v in doc:
         scalar = get(type(v))
-        parts.append(scalar(v) if scalar is not None else _render(v, inner, rendered))
+        parts.append(scalar(v) if scalar is not None else _render(v, inner))
     sep = ",\n" + inner
     return f"[\n{inner}{sep.join(parts)}\n{pad}]"
 
 
-def _render_dict(doc: dict[str, Any], pad: str, rendered: _Rendered) -> str:
+def _render_dict(doc: dict[str, Any], pad: str) -> str:
     if not doc:
         return "{}"
     get, inner = _SCALARS.get, pad + "  "
@@ -154,16 +136,15 @@ def _render_dict(doc: dict[str, Any], pad: str, rendered: _Rendered) -> str:
             parts.append(head + scalar(v))
             continue
         # one expression, so no local keeps a rendered child alive
-        parts.append(head + _render(v, inner, rendered))
+        parts.append(head + _render(v, inner))
     sep = ",\n" + inner
     return f"{{\n{inner}{sep.join(parts)}\n{pad}}}"
 
 
-def _render_steps(trace: Iterable[TraceStep], pad: str, rendered: _Rendered) -> str:
-    # trace steps as {"cite", "detail"} at pad, joined as a list's items
-    # are; each distinct step that is not too large is rendered once per
-    # document
-    texts = rendered[pad]
+def _render_steps(trace: Iterable[TraceStep], pad: str, texts: dict[TraceStep, str]) -> str:
+    # trace steps as {"cite", "detail"} at pad, joined as a list's items are;
+    # texts keeps each step's text at pad unless its detail is longer than
+    # MAX_SHARED_DETAIL, which the scan memo does not keep either
     inner, enc = pad + "  ", encode_basestring_ascii
     parts = []
     for s in trace:
@@ -176,35 +157,36 @@ def _render_steps(trace: Iterable[TraceStep], pad: str, rendered: _Rendered) -> 
     return f",\n{pad}".join(parts)
 
 
-def _render_row(row: ScanRow | Verdict, pad: str, rendered: _Rendered) -> str:
+def _render_row(row: ScanRow | Verdict, pad: str, texts: dict[TraceStep, str]) -> str:
     # A ScanRow as {"error", "params", "verdict"}, or a Verdict alone as its
-    # to_json_dict(), in one pass, each distinct trace step once per document.
+    # to_json_dict(), in one pass, its trace steps through texts.
     is_row = type(row) is ScanRow
     verdict, vpad = (row.verdict, pad + "  ") if is_row else (row, pad)
     text = "null"
     if verdict is not None:
         inner, c = vpad + "  ", verdict.constraints
         # constraints that are a mapping render as the dict to_json_dict() copies them into
-        constraints = "null" if c is None else _render_dict(c if type(c) is dict else dict(c), inner, rendered)
+        constraints = "null" if c is None else _render_dict(c if type(c) is dict else dict(c), inner)
         step = inner + "  "
-        steps = f"[\n{step}{_render_steps(verdict.trace, step, rendered)}\n{inner}]" if verdict.trace else "[]"
+        steps = f"[\n{step}{_render_steps(verdict.trace, step, texts)}\n{inner}]" if verdict.trace else "[]"
         text = (
             f'{{\n{inner}"constraints": {constraints},\n'
             f'{inner}"status": {encode_basestring_ascii(verdict.status)},\n{inner}"trace": {steps}\n{vpad}}}'
         )
     if not is_row:
         return text
-    params = _render(row.params, vpad, rendered)
-    error = "null" if row.error is None else _render(row.error, vpad, rendered)
+    params = _render(row.params, vpad)
+    error = "null" if row.error is None else _render(row.error, vpad)
     return f'{{\n{vpad}"error": {error},\n{vpad}"params": {params},\n{vpad}"verdict": {text}\n{pad}}}'
 
 
 # the result types whose fields are their JSON keys; they are NamedTuples,
-# so _render must look them up here before any tuple test
-_RESULTS: dict[type, Callable[[Any, str, _Rendered], str]] = {
-    TraceStep: lambda step, pad, rendered: _render_steps((step,), pad, rendered),
-    Verdict: _render_row,
-    ScanRow: _render_row,
+# so _render must look them up here before any tuple test.  Only a scan's
+# rows reuse steps, so each result met in a document gets its own texts.
+_RESULTS: dict[type, Callable[[Any, str], str]] = {
+    TraceStep: lambda step, pad: _render_steps((step,), pad, {}),
+    Verdict: lambda verdict, pad: _render_row(verdict, pad, {}),
+    ScanRow: lambda row, pad: _render_row(row, pad, {}),
 }
 
 
@@ -213,10 +195,10 @@ def canonical_json(doc: Any) -> str:
 
     The library's entry point to the renderer the command line writes with;
     dict keys must be strings.  A TraceStep, Verdict or ScanRow renders as
-    its fields' dict (a Verdict as its to_json_dict()) without building it,
-    and each distinct TraceStep is rendered once per document.
+    its fields' dict (a Verdict as its to_json_dict()) without building it.
+    Only the command line's scan renders a step that many rows share once.
     """
-    return _render(doc, "", defaultdict(dict)) + "\n"
+    return _render(doc, "") + "\n"
 
 
 def round_float(x: float) -> float:
@@ -228,9 +210,11 @@ def parse_rational(text: str) -> Fraction:
     """Parse 'p/q' or a decimal literal into an exact rational.
 
     Its numerator and denominator may have at most MAX_DIGITS digits.  Digit
-    underscores are refused: Fraction reads them only from Python 3.11 on.
+    underscores and whitespace beside the slash are refused: Fraction reads
+    the first only from Python 3.11 on and the second only from 3.12 on.
     """
-    if "_" in text:
+    num, slash, den = text.partition("/")
+    if "_" in text or slash and (num[-1:].isspace() or den[:1].isspace()):
         raise ValueError(f"bad rational literal {text!r}")
     exponent = text.lower().partition("e")[2].strip().lstrip("+-").lstrip("0")
     if exponent.isdecimal() and (
@@ -288,11 +272,6 @@ def parse_range(text: str) -> list[int]:
     """Parse 'lo..hi' (inclusive) or a bare integer into a list."""
     lo, hi = _range_bounds(text)
     return list(range(lo, hi + 1))
-
-
-def _check_length(what: str, n: int) -> None:
-    if n > MAX_LENGTH:
-        raise ValueError(f"{what} is {n}, above the limit of {MAX_LENGTH}")
 
 
 def _split_top(text: str) -> list[str]:
@@ -539,16 +518,8 @@ def _cmd_check(ns: argparse.Namespace) -> tuple[int, Verdict]:
 
 
 def _cmd_scan(ns: argparse.Namespace, write: Callable[[str], object], pad: str) -> int:
-    raws = {n: getattr(ns, n) for n in _SCAN_PARAMS if getattr(ns, n) is not None}
-    bounds = {name: _range_bounds(raw) for name, raw in raws.items()}
-    # the grid spans the family's own parameters; scan rejects any other one
-    # before it reads a range, so the ranges go in unexpanded
-    points = 1
-    for name in FAMILIES[ns.family][0]:
-        if name in bounds:
-            lo, hi = bounds[name]
-            points *= hi - lo + 1
-    _check_length("scan grid size", points)
+    bounds = {n: _range_bounds(getattr(ns, n)) for n in _SCAN_PARAMS if getattr(ns, n) is not None}
+    # the ranges go in unexpanded: scan bounds the grid before it reads one
     ranges = {name: range(lo, hi + 1) for name, (lo, hi) in bounds.items()}
     # each row is written as it is checked, the head with the first, so a scan
     # refused before any row writes nothing; the tail follows the last
@@ -556,12 +527,12 @@ def _cmd_scan(ns: argparse.Namespace, write: Callable[[str], object], pad: str) 
     head = f"family: {family}\n"
     if as_json:
         head = f'{{\n{pad}  "family": {encode_basestring_ascii(family)},\n{pad}  "rows": [\n{inner}'
-    rendered: _Rendered = defaultdict(dict)
+    texts: dict[TraceStep, str] = {}
     count = errors = 0
 
     def emit(row: ScanRow) -> None:
         nonlocal head, count, errors
-        write(head + (_render_row(row, inner, rendered) if as_json else _text_row(row)))
+        write(head + (_render_row(row, inner, texts) if as_json else _text_row(row)))
         head = ",\n" + inner if as_json else ""
         count += 1
         errors += row.error is not None
@@ -582,16 +553,12 @@ def _report(ns: argparse.Namespace, write: Callable[[str], object], pad: str) ->
         if ns.cmd == "scan":
             return _cmd_scan(ns, write, pad)
         code, doc = _COMMANDS[ns.cmd][0](ns)
-    except HypothesisViolation as exc:
-        code, doc = 2, {"error": {"cite": exc.cite, "message": str(exc)}}
-    except NotMonotoneLevelError as exc:
-        code, doc = 2, {"error": {"cite": "not-monotone-level", "message": str(exc)}}
-    except UndeterminableError as exc:
-        code, doc = 2, {"error": {"cite": "undeterminable", "message": str(exc)}}
-    except ValueError as exc:
-        code, doc = 1, {"error": {"cite": "usage-error", "message": str(exc)}}
+    except (HypothesisViolation, ValueError) as exc:
+        # a refusal names its own rule; any other ValueError is a usage error
+        cite = getattr(exc, "cite", "usage-error")
+        code, doc = 1 if cite == "usage-error" else 2, {"error": {"cite": cite, "message": str(exc)}}
     if ns.format == "json":
-        write(_render(doc, pad, defaultdict(dict)))
+        write(_render(doc, pad))
     elif type(doc) is dict and "error" in doc:
         # a check answers with its Verdict, every other report is a dict
         write(f"error [{doc['error']['cite']}]: {doc['error']['message']}\n")
@@ -718,7 +685,7 @@ def _run_batch(path: str, write: Callable[[str], object]) -> int:
         held: list[str] = []
         code = _report(ns, held.append, "    ")
         worst = max(worst, code)
-        args = _render(entry["args"], "    ", defaultdict(dict))
+        args = _render(entry["args"], "    ")
         command = encode_basestring_ascii(entry["command"])
         write(f'{sep}{{\n    "args": {args},\n    "command": {command},\n    "exit": {code},\n    "report": ')
         for piece in held:

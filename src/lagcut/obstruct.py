@@ -54,6 +54,13 @@ from .floer import (
 # 2-core VM).
 MAX_DIVISOR_SEARCH = 1 << 40
 
+# Upper bound on a length the user sets, checked before allocating: the
+# points of a scan grid (one verdict per point; the command line writes each
+# row as it is rendered) and the --modulus of the command line's fold and
+# identity (one entry or binomial sum per residue).  It sits above every
+# documented input, the largest being a 9,950-row lens scan.
+MAX_LENGTH = 1 << 14
+
 OBSTRUCTED = "Obstructed"
 CONSTRAINED = "Constrained"
 INCONCLUSIVE = "Inconclusive"
@@ -123,6 +130,11 @@ class ScanRow(NamedTuple):
 def _divisors(n: int) -> list[int]:
     small = [k for k in range(1, isqrt(n) + 1) if n % k == 0]
     return small + [n // k for k in reversed(small) if k * k != n]
+
+
+def _check_length(what: str, n: int) -> None:
+    if n > MAX_LENGTH:
+        raise ValueError(f"{what} is {n}, above the limit of {MAX_LENGTH}")
 
 
 def _check_limit(name: str, value: int, limit: int) -> None:
@@ -203,6 +215,11 @@ def _seidel_step(N: int) -> TraceStep:
         CITE_SEIDEL_PERIODICITY,
         f"HF is Z/{N}-graded and 2-periodic (mod-{N} Maslov class vanishes)",
     )
+
+
+def _index_divisors(name: str, n: int) -> tuple[list[int], TraceStep]:
+    # the divisors of n, which callers only read, and the step naming n
+    return _divisors(n), TraceStep(CITE_INDEX_DIVISOR, f"m divides {name} = {n}")
 
 
 def _index_size_step(d: int) -> TraceStep:
@@ -301,11 +318,6 @@ def check_simply_connected_in_cut(d: int, N_e: int, N: int) -> Verdict:
     return Verdict(INCONCLUSIVE, None, tuple(trace))
 
 
-def _exact_divisors(N_e: int) -> tuple[list[int], TraceStep]:
-    # the divisors of N_e, which callers only read, and the step naming N_e
-    return _divisors(N_e), TraceStep(CITE_INDEX_DIVISOR, f"m divides N_e = {N_e}")
-
-
 def exact_verdict(d: int, N_e: int, use_surjectivity: bool = False) -> Verdict:
     """Admissible indices m for an exact candidate with zero Maslov class.
 
@@ -317,7 +329,7 @@ def exact_verdict(d: int, N_e: int, use_surjectivity: bool = False) -> Verdict:
     if N_e < 1:
         raise ValueError("N_e must be >= 1")
     _check_limit("N_e", N_e, MAX_DIVISOR_SEARCH)
-    divisors, divides = _shared(_exact_divisors, N_e)
+    divisors, divides = _shared(_index_divisors, "N_e", N_e)
     admissible = [m for m in divisors if 2 * m <= d + 2]
     if use_surjectivity:
         admissible = [m for m in admissible if m == 1]
@@ -575,11 +587,6 @@ def check_product_spheres(l: int, m: int, N_e: int) -> Verdict:
     return Verdict(CONSTRAINED, constraints, tuple(trace))
 
 
-def _lens_divisors(p: int) -> tuple[list[int], TraceStep]:
-    # the divisors of p, which callers only read, and the step naming p
-    return _divisors(p), TraceStep(CITE_INDEX_DIVISOR, f"m divides p = {p}")
-
-
 def _lens_dimension(n: int) -> tuple[TraceStep, TraceStep, TraceStep]:
     # the three steps that read only the dimension d = 2n + 1
     d = 2 * n + 1
@@ -601,7 +608,7 @@ def check_lens(p: int, n: int) -> Verdict:
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_limit("p", p, MAX_DIVISOR_SEARCH)
-    divisors, divides = _shared(_lens_divisors, p)
+    divisors, divides = _shared(_index_divisors, "p", p)
     # m divides p and 2m <= d + 2 = 2n + 3, that is m <= n + 1
     admissible = [m for m in divisors if m <= n + 1]
     exact, size, parity = _shared(_lens_dimension, n)
@@ -653,8 +660,9 @@ def scan(
     Rows whose parameters violate a check's hypotheses or fall outside its
     domain are kept in place with the violated rule recorded (cite
     "usage-error" for the latter), so one bad row never aborts a sweep.
-    A range value that is not an int is a ValueError before any row runs.
-    Rows that read the same values share their TraceStep objects.
+    A grid of more than MAX_LENGTH points, an axis of more than MAX_LENGTH
+    values, or a range value that is not an int is a ValueError before any
+    row runs.  Rows that read the same values share their TraceStep objects.
     """
     rows: list[ScanRow] = []
     _scan_rows(rows.append, family, ranges, use_surjectivity)
@@ -668,28 +676,41 @@ def _scan_rows(
     use_surjectivity: bool,
 ) -> None:
     # scan's loop: every check of the arguments, then each row to emit as it
-    # is built.  The memo is set and reset in this frame, however it ends.
+    # is built.  Each axis is read once, a range by its length and any other
+    # iterable to one value past MAX_LENGTH, so no grid above the limit is
+    # expanded.  The memo is set and reset in this frame, however it ends.
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     order, check, takes_surjectivity, defaults = FAMILIES[family]
-    required = [p for p in order if p not in defaults]
-    for p in required:
-        if p not in ranges:
+    names, values, points = [p for p in order if p in ranges], [], 1
+    for name in names:
+        axis = ranges[name]
+        if type(axis) is range:
+            # len() refuses a range longer than sys.maxsize
+            points *= max(0, -((axis.start - axis.stop) // axis.step))
+        else:
+            axis = list(itertools.islice(axis, MAX_LENGTH + 1))
+            if len(axis) > MAX_LENGTH:
+                raise ValueError(f"scan parameter {name!r} has more values than the limit of {MAX_LENGTH}")
+            points *= len(axis)
+        values.append(axis)
+    _check_length("scan grid size", points)
+    for p in order:
+        if p not in ranges and p not in defaults:
             raise ValueError(f"family {family!r} needs a range for {p!r}")
     unknown = set(ranges) - set(order)
     if use_surjectivity and not takes_surjectivity:
         unknown.add("surjectivity")
     if unknown:
         raise ValueError(f"family {family!r} does not take {sorted(unknown)}")
-    names = [p for p in order if p in ranges]
-    # each range is read once, and a value that is not an int refuses the
-    # whole grid before any row runs
-    values = [list(ranges[p]) for p in names]
+    # a value that is not an int refuses the whole grid before any is hashed;
+    # a range holds only ints
     for name, axis in zip(names, values):
-        for value in axis:
+        for value in () if type(axis) is range else axis:
             if not isinstance(value, int):
                 raise ValueError(f"scan parameter {name!r} takes integers, not {value!r}")
-    axes = [sorted(set(axis)) for axis in values]
+    # an empty grid has no rows, however long its other axes
+    axes = [sorted(set(axis)) if points else [] for axis in values]
     token = _SCAN_MEMO.set({})
     try:
         for combo in itertools.product(*axes):
@@ -700,8 +721,8 @@ def _scan_rows(
             try:
                 row = ScanRow(params, check(params, use_surjectivity), None)
             except (HypothesisViolation, ValueError) as exc:
-                cite = exc.cite if isinstance(exc, HypothesisViolation) else "usage-error"
-                row = ScanRow(params, None, {"cite": cite, "message": str(exc)})
+                error = {"cite": getattr(exc, "cite", "usage-error"), "message": str(exc)}
+                row = ScanRow(params, None, error)
             emit(row)
             # the next row's check runs without this row held
             del row

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import lagcut
 from lagcut import cli
+from lagcut.charnum import UndeterminableError
 from lagcut.cli import (
     MAX_LENGTH,
     canonical_json,
@@ -230,11 +231,25 @@ def test_classes_rejects_nonnegative_level():
 
 
 def test_classes_rejects_bad_rational():
-    # Fraction reads digit underscores only from Python 3.11 on, so a level
-    # with one is refused on every interpreter
-    for bad in ("abc", "1/0", "-1_0/3", "-1/2_0"):
+    # Fraction reads digit underscores only from Python 3.11 on, and
+    # whitespace beside the slash only from 3.12 on, so a level with either
+    # is refused on every interpreter
+    for bad in ("abc", "1/0", "-1_0/3", "-1/2_0", "-1 / 3", "-1/ 3", "-1 /3"):
         code, out = run(["classes", "--euler", "1", "--level", bad])
         assert (code, out) == (1, f"error [usage-error]: bad rational literal {bad!r}\n")
+    # whitespace around the whole literal is read on every interpreter
+    assert run(["classes", "--euler", "1", "--level", " -1/3 "]) == run(["classes", "--euler", "1", "--level", "-1/3"])
+
+
+def test_classes_reports_an_undeterminable_quantity_with_its_cite(monkeypatch):
+    # no argv reaches this refusal, so pi1_total is made to raise it
+    def undeterminable(bundle):
+        raise UndeterminableError("pi_1 is not determined")
+
+    monkeypatch.setattr(cli, "pi1_total", undeterminable)
+    argv = ["classes", "--euler", "2", "--level", "-1/3"]
+    assert run_json(argv) == (2, {"error": {"cite": "undeterminable", "message": "pi_1 is not determined"}})
+    assert run(argv) == (2, "error [undeterminable]: pi_1 is not determined\n")
 
 
 def test_classes_json_roundtrip():
@@ -362,6 +377,7 @@ def test_fold_rejects_bad_specifiers():
         ("torus:d=3,d=x", "candidate field d='x' is not an integer"),
         ("sphere:d=0,x=5", "invalid-dimension: sphere needs d >= 1"),
         ("sphere:x=5", "candidate kind 'sphere' needs d="),
+        ("custom:betti=[1]],gens=[1]", "unbalanced ']' in 'betti=[1]],gens=[1]'"),
     ],
 )
 def test_fold_refuses_repeated_and_foreign_fields(spec, message):
@@ -484,6 +500,24 @@ def test_check_matches_one_point_scan(family, params):
     code, doc = run_json(["scan", "--family", family, *options])
     assert code == 0
     assert doc["rows"] == [{"params": params, "verdict": verdict, "error": None}]
+
+
+def test_a_scan_renders_each_shared_step_once(monkeypatch):
+    # every lens row at p = 7 reads the same divides step, and rows with the
+    # same n the same three dimension steps; each step's text is built once
+    encoded = collections.Counter()
+    original = cli.encode_basestring_ascii
+
+    def counting(text):
+        encoded[text] += 1
+        return original(text)
+
+    monkeypatch.setattr(cli, "encode_basestring_ascii", counting)
+    code, doc = run_json(["scan", "--family", "lens", "--p", "7..9", "--n", "1..4"])
+    assert code == 0
+    details = {step["detail"] for row in doc["rows"] for step in row["verdict"]["trace"]}
+    assert len(details) < sum(len(row["verdict"]["trace"]) for row in doc["rows"])
+    assert {encoded[detail] for detail in details} == {1}
 
 
 def test_scan_text_mode_lists_rows():
@@ -871,6 +905,9 @@ def test_batch_rejects_malformed_file(tmp_path):
     path2.write_text('{"command": "classes"}')
     code, _ = run(["--batch", str(path2)])
     assert code == 1
+
+    path3 = write_batch(tmp_path, [{"command": "--batch", "args": ["x.json"]}])
+    assert run(["--batch", path3]) == (1, "usage error: batch entry 0 must name a subcommand\n")
 
 
 def test_batch_rejects_missing_file(tmp_path):

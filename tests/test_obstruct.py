@@ -2,6 +2,7 @@
 
 import collections
 import functools
+import itertools
 import json
 import math
 import re
@@ -28,6 +29,7 @@ from lagcut.obstruct import (
     INCONCLUSIVE,
     MAX_DIVISOR_SEARCH,
     MAX_FOLD_MODULUS,
+    MAX_LENGTH,
     OBSTRUCTED,
     HypothesisViolation,
     _divisors,
@@ -583,6 +585,13 @@ def test_rows_share_the_steps_that_read_the_same_values():
     assert by_params[7, 2][1] is not by_params[11, 2][1]
     # each row keeps its own constraints
     assert rows[0].verdict.constraints is not rows[1].verdict.constraints
+    # exact rows with the same euler share the step naming its divisors
+    rows = scan("exact", {"d": [4, 6], "euler": [3, 5]})
+    divides = {(r.params["d"], r.params["euler"]): r.verdict.trace[1] for r in rows}
+    assert divides[4, 3] is divides[6, 3]
+    assert divides[4, 5] is divides[6, 5]
+    assert divides[4, 3] is not divides[4, 5]
+    assert divides[4, 3] == (obstruct.CITE_INDEX_DIVISOR, "m divides N_e = 3")
 
 
 def test_a_scan_keeps_no_value_with_more_detail_than_the_limit(monkeypatch):
@@ -675,6 +684,38 @@ def test_scan_refuses_a_value_that_is_not_an_int_before_any_row(monkeypatch, fam
     with pytest.raises(ValueError, match=re.escape(message)):
         scan(family, ranges)
     assert checks == []
+
+
+def test_scan_refuses_a_grid_above_the_limit_before_reading_it():
+    for stop in (10**12, 10**30):
+        start = time.perf_counter()
+        message = f"scan grid size is {stop - 2}, above the limit of {MAX_LENGTH}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            scan("lens", {"p": range(2, stop), "n": [1]})
+        assert time.perf_counter() - start < 1.0
+    # the grid is sized before the family's other checks, as on the command line
+    with pytest.raises(ValueError, match="scan grid size is 20000"):
+        scan("lens", {"p": range(0, 40000, 2), "euler": [1]})
+    # an empty axis leaves no rows, however long the others
+    assert scan("lens", {"p": range(2, 10**12), "n": []}) == []
+
+
+def test_scan_reads_an_axis_to_one_value_past_the_limit():
+    read = []
+
+    def values():
+        for p in itertools.count(2):
+            read.append(p)
+            yield p
+
+    message = f"scan parameter 'p' has more values than the limit of {MAX_LENGTH}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        scan("lens", {"p": values(), "n": [1]})
+    assert len(read) == MAX_LENGTH + 1
+    # a grid at the limit runs, its generator read once
+    rows = scan("lens", {"p": (p for p in range(2, MAX_LENGTH + 2)), "n": [1]})
+    assert len(rows) == MAX_LENGTH
+    assert rows[0].params == {"p": 2, "n": 1}
 
 
 # -------------------------------------------- scans equal checks, row by row
