@@ -29,7 +29,10 @@ def ss_collapse_certificate(ring: CohomologyRing, N_L: int) -> int | None:
         # above dim + 1 no page carries a differential
         return 0
     generators = set(ring.generator_degrees)
+    top = max(generators, default=0) + 1
     for r in range(1, nu + 1):
+        if top < r * N_L:  # every target from page r on lies below degree 0
+            return nu
         for g in generators:
             if ring.betti_number(g + 1 - r * N_L):
                 return None

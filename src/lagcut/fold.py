@@ -9,20 +9,21 @@ N its sum identity, N S_j = 2^d for every j, is the fold's 2-periodicity.
 
 The verdicts fold through `_fold_ring`, which returns the text of the
 tuple S_0..S_{N-1}, its 2-periodicity and S_0 without building the N
-entries.  A ring with a class in every degree, such as the torus, folds by
-slices of its Betti list in O(dim) steps.  Above N = dim its fold is its
-Betti list followed by zeros, so such a ring is read through a view built
-once per ring: the Betti list, the list padded with two zeros for the
-period-2 shift, and the list's text.  The view is kept for the last ring
-only, found by identity rather than by hashing the ring, so it holds at
-most one ring's Betti numbers and text.  Any other ring folds by its
-nonzero residues in O(|support|) steps.
+entries.  A ring with a class in every degree, such as the torus, is read
+through a view built once per ring.  Up to N = dim it folds by N strided
+sums of its Betti list below N^2 = dim + 1 and by adding the list's chunks
+of N entries above, in O(min(N, (dim + 1) / N)) steps; above N = dim its
+fold is the Betti list, then zeros.  Above N = (dim + 1) / 2 the text of
+S_j = b_j, j >= dim + 1 - N, is a slice of the list's text, built when a
+fold first reads it.  The view is kept for the last ring only, found by
+identity.  Any other ring folds by its nonzero residues in O(|support|) steps.
 """
 
 from __future__ import annotations
 
 import math
-from operator import itemgetter
+from itertools import accumulate
+from operator import add, itemgetter
 from typing import Iterable, Sequence
 
 from .coring import CohomologyRing, _check_digits, binomial_row
@@ -88,38 +89,55 @@ def _fold_ring(ring: CohomologyRing, N: int) -> tuple[str, bool, int]:
 
 
 def _fold_dense(ring: CohomologyRing, N: int) -> tuple[str, bool, int]:
-    # _fold_ring for a ring with every b_k >= 1, in O(dim) steps.  S holds
-    # S_0..S_{min(N, dim + 1) - 1}, every one nonzero; S_j = 0 above them.
-    # Lists and map only, no tuple(genexpr): CPython frees such a tuple of
-    # under 20 entries onto its size's free list without having taken one
-    # from it, so those lists fill up.
+    # _fold_ring for a ring with every b_k >= 1.  S holds S_0..S_{min(N, size) - 1},
+    # every one nonzero; S_j = 0 above them.  Lists and map only, no tuple(genexpr):
+    # CPython frees such a tuple of under 20 entries onto its size's free list
+    # without having taken one from it, so those lists fill up.
     _check_modulus(N)
-    if N > ring.dim:
-        S, padded, head = _dense_view(ring)
-    else:
-        betti = list(map(itemgetter(1), ring.support))
+    size = ring.dim + 1
+    split = size - N  # S_j = b_j for j >= split
+    betti, text, ends = _dense_view(ring, 2 * split < size)
+    if split <= 0:
+        S = betti
+    elif N * N < size:
         S = [sum(betti[j::N]) for j in range(N)]
-        padded, head = S + [0, 0], ", ".join(map(str, S))
-    # (j + 2) % N is at most len(S) + 1; as in _fold_ring, the shift keeps the
-    # zeros if it keeps S
-    periodic = all(s == padded[(j + 2) % N] for j, s in enumerate(S))
+    else:
+        S = betti[:N]
+        for i in range(N, size, N):
+            S[:min(N, size - i)] = map(add, S, betti[i:i + N])
+    if N > size:
+        # the shift by 2 takes S_{N-2} = 0 onto S_0 = 1, or at N = size + 1
+        # S_{N-1} = 0 onto S_1 = b_1, unless size = 1 and N = 2
+        periodic = N == 2
+    else:
+        periodic = S[2:] == S[:-2] and S[:2] == S[-2:]
+    if 2 * split >= size:
+        head = ", ".join(map(str, S))
+    else:
+        head = ", ".join(map(str, S[:split])) + text[ends[split]:ends[N]] if split > 0 else text
     zeros = ", 0" * (N - len(S))
     return f"({head}{zeros}{',)' if N == 1 else ')'}", periodic, S[0]
 
 
-# The last dense ring folded at N > dim and its view (betti, betti + [0, 0],
-# text of betti).  A check folds one ring at many such N.  The pair is
-# replaced whole, so a thread reads one ring with that ring's own view, and
-# it keeps the ring alive, so no other ring can be the same object.
-_last_view: tuple[CohomologyRing | None, tuple[list[int], list[int], str]] = (None, ([], [], ""))
+_View = tuple[list[int], str | None, list[int] | None]
+
+# The last dense ring folded and its view: the Betti list, then its text and
+# ends, ends[k] the end of b_{k-1}'s text (-2 for k = 0), both None until a
+# fold first reads them.  The pair is replaced whole, so a thread reads one
+# ring with that ring's own view, and it keeps the ring alive, so no other
+# ring can be the same object.
+_last_view: tuple[CohomologyRing | None, _View] = (None, ([], None, None))
 
 
-def _dense_view(ring: CohomologyRing) -> tuple[list[int], list[int], str]:
+def _dense_view(ring: CohomologyRing, with_text: bool) -> _View:
     global _last_view
     last, view = _last_view
     if last is not ring:
-        betti = list(map(itemgetter(1), ring.support))
-        view = (betti, betti + [0, 0], ", ".join(map(str, betti)))
+        view = (list(map(itemgetter(1), ring.support)), None, None)
+        _last_view = (ring, view)
+    if with_text and view[1] is None:
+        strs = list(map(str, view[0]))
+        view = (view[0], ", ".join(strs), list(accumulate(map((2).__add__, map(len, strs)), initial=-2)))
         _last_view = (ring, view)
     return view
 

@@ -157,13 +157,18 @@ MAX_SHARED_DETAIL = 1 << 16
 
 
 def _detail_size(value: Any) -> int:
-    # the characters of detail in the TraceSteps of a built value, which is
-    # a step or a tuple holding steps and tuples of them
+    # the characters of detail in the TraceSteps of a built value, in one
+    # pass: a value is a step or a tuple holding steps and tuples of steps
     if type(value) is TraceStep:
         return len(value.detail)
-    if type(value) is tuple:
-        return sum(map(_detail_size, value))
-    return 0
+    size = 0
+    for item in value if type(value) is tuple else ():
+        if type(item) is TraceStep:
+            size += len(item.detail)
+        elif type(item) is tuple:
+            for step in item:
+                size += len(step.detail)
+    return size
 
 
 def _shared(build: Callable[..., Any], *args: Any) -> Any:

@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -84,17 +85,31 @@ def assert_folds_as_fold_mod(ring, N):
     assert _fold_ring(ring, N) == (repr(dense), is_two_periodic(dense), dense[0]), (ring.label, N)
 
 
+def dense_boundaries(dim):
+    # where a dense fold changes shape: strided sums below N^2 = dim + 1 and
+    # chunks above it, the Betti text read above N = (dim + 1) / 2, and the
+    # Betti list itself from N = dim + 1 on
+    root, half = isqrt(dim + 1), (dim + 1) // 2
+    return {N for N in (root - 1, root, root + 1, half - 1, half, half + 1, half + 2, dim, dim + 1) if N >= 1}
+
+
 @settings(max_examples=300, deadline=None)
 @given(rings, dense_rings, st.integers(0, 10**6))
 @example(make_complex_projective(17), make_torus(3), 35)
 @example(make_custom([1, 2, 2, 1], [1]), make_torus(3), 0)
+# at N = 4, N^2 = dim + 1 for dim 15, dim + 1 - 1 for dim 16 and dim + 1 + 1
+# for dim 14; at N = 3, N^2 = dim + 1 for dim 8
+@example(make_torus(15), make_torus(16), 0)
+@example(make_torus(14), make_custom([1, 2, 3, 1, 3, 1, 3, 2, 1], [1]), 0)
 def test_residue_fold_matches_the_dense_fold(ring, other, seed):
     # the wrap at j = N - 2, N - 1 is where a residue fold goes wrong, so
     # every ring also folds at N <= dim + 3, where its degrees wrap
     dim = ring.dim
-    moduli = {1, 2, dim, dim + 1, dim + 2, dim + 3, 1 + seed % (3 * dim + 5)}
+    moduli = {1, 2, dim, dim + 1, dim + 2, dim + 3, 1 + seed % (3 * dim + 5), *dense_boundaries(dim)}
     for N in sorted(moduli):
         assert_folds_as_fold_mod(ring, N)
+    for N in sorted(dense_boundaries(other.dim)):
+        assert_folds_as_fold_mod(other, N)
     # a dense ring's view at N > dim is kept for one ring: folding another
     # between two folds of this one makes the memo miss, then hit
     for N in (max(dim, other.dim) + 1, max(dim, other.dim) + 3):
@@ -112,9 +127,11 @@ def test_residue_fold_matches_the_dense_fold(ring, other, seed):
 def test_threads_folding_two_dense_rings_read_their_own_views():
     # Each thread alternates the one-entry view between its ring and the
     # other's; a fold that read one ring with the other ring's view would
-    # print the wrong Betti numbers.
+    # print the wrong Betti numbers.  Folds at N <= (dim + 1) / 2 read a view
+    # without text, and the next fold above that fills it in, so threads race
+    # the fill too.
     dense = make_torus(160), make_custom([1, *range(2, 80), *range(80, 1, -1), 1], [1])
-    moduli = (161, 162, 170, 200)
+    moduli = (12, 100, 161, 40, 150, 162, 70, 170, 158, 200)
     expected = {(r.dim, N): fold_mod(r, N) for r in dense for N in moduli}
     failures = []
     # two threads per ring, so they outnumber the cores of a small host
@@ -122,7 +139,7 @@ def test_threads_folding_two_dense_rings_read_their_own_views():
 
     def fold_many(ring):
         start.wait()
-        for _ in range(2000):
+        for _ in range(1000):
             for N in moduli:
                 folded = expected[ring.dim, N]
                 if _fold_ring(ring, N) != (repr(folded), is_two_periodic(folded), folded[0]):

@@ -198,6 +198,16 @@ def test_a_large_d_scan_keeps_no_step_of_an_earlier_row():
     assert peaks[16] <= peaks[8] + 8 * 2**20
 
 
+def test_a_torus_check_below_half_its_dimension_builds_no_betti_text():
+    # Every grading of this check, N <= 1,440, lies below (dim + 1) / 2 =
+    # 4,096.5, so its folds add the Betti list's entries and never build its
+    # 14 MB text: it peaks at 63-65 MB, and at 77-80 MB with the text built
+    # at its first fold (CPython 3.10-3.13).
+    code, _, rss = peak("main", ["check", "torus", "--d", "8192", "--euler", "720", "--format", "json"])
+    assert code == 0
+    assert rss < 72 * 2**20
+
+
 def large_batch(tmp_path, *entries):
     # a batch file of the entries, then the large scan
     path = tmp_path / "batch.json"
