@@ -67,6 +67,17 @@ class _Parser(argparse.ArgumentParser):
     def print_help(self, file: Any = None) -> None:
         raise _HelpRequested(self.format_help())
 
+    def parse_known_args(self, args: Any = None, namespace: Any = None) -> tuple[argparse.Namespace, list[str]]:
+        # "--" as an option's own value (--d=--, or --level -- once glued by
+        # _merge_rationals) is refused on every interpreter: argparse reads
+        # it as the value from CPython 3.13 on, and before that drops it and
+        # hands the option an empty list
+        for token in args or ():
+            option, _, value = token.partition("=")
+            if value == "--" and option.startswith("--"):
+                self.error(f"argument {option}: expected one argument")
+        return super().parse_known_args(args, namespace)
+
 
 # CPython 3.11 skips its C encoder whenever an indent is given, so the
 # indented form is rendered here in one direct pass.

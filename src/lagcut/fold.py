@@ -15,7 +15,8 @@ sums of its Betti list below N^2 = dim + 1 and by adding the list's chunks
 of N entries above, in O(min(N, (dim + 1) / N)) steps; above N = dim its
 fold is the Betti list, then zeros.  Above N = (dim + 1) / 2 the text of
 S_j = b_j, j >= dim + 1 - N, is a slice of the list's text, built when a
-fold first reads it.  The view is kept for the last ring only, found by
+second such fold reads it: a ring folded there once, as a large one often
+is, never builds it.  The view is kept for the last ring only, found by
 identity.  Any other ring folds by its nonzero residues in O(|support|) steps.
 """
 
@@ -111,7 +112,7 @@ def _fold_dense(ring: CohomologyRing, N: int) -> tuple[str, bool, int]:
         periodic = N == 2
     else:
         periodic = S[2:] == S[:-2] and S[:2] == S[-2:]
-    if 2 * split >= size:
+    if 2 * split >= size or not text:
         head = ", ".join(map(str, S))
     else:
         head = ", ".join(map(str, S[:split])) + text[ends[split]:ends[N]] if split > 0 else text
@@ -122,10 +123,11 @@ def _fold_dense(ring: CohomologyRing, N: int) -> tuple[str, bool, int]:
 _View = tuple[list[int], str | None, list[int] | None]
 
 # The last dense ring folded and its view: the Betti list, then its text and
-# ends, ends[k] the end of b_{k-1}'s text (-2 for k = 0), both None until a
-# fold first reads them.  The pair is replaced whole, so a thread reads one
-# ring with that ring's own view, and it keeps the ring alive, so no other
-# ring can be the same object.
+# ends, ends[k] the end of b_{k-1}'s text (-2 for k = 0).  Both are None until
+# a fold above (dim + 1) / 2 asks for them; that fold gets the text "" and
+# writes its entries itself, and the next one builds them.  The pair is
+# replaced whole, so a thread reads one ring with that ring's own view, and it
+# keeps the ring alive, so no other ring can be the same object.
 _last_view: tuple[CohomologyRing | None, _View] = (None, ([], None, None))
 
 
@@ -135,9 +137,12 @@ def _dense_view(ring: CohomologyRing, with_text: bool) -> _View:
     if last is not ring:
         view = (list(map(itemgetter(1), ring.support)), None, None)
         _last_view = (ring, view)
-    if with_text and view[1] is None:
-        strs = list(map(str, view[0]))
-        view = (view[0], ", ".join(strs), list(accumulate(map((2).__add__, map(len, strs)), initial=-2)))
+    if with_text and not view[1]:
+        if view[1] is None:
+            view = (view[0], "", None)
+        else:
+            strs = list(map(str, view[0]))
+            view = (view[0], ", ".join(strs), list(accumulate(map((2).__add__, map(len, strs)), initial=-2)))
         _last_view = (ring, view)
     return view
 

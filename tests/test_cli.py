@@ -241,6 +241,22 @@ def test_classes_rejects_bad_rational():
     assert run(["classes", "--euler", "1", "--level", " -1/3 "]) == run(["classes", "--euler", "1", "--level", "-1/3"])
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["classes", "--euler", "1", "--level", "--", "--dim", "0"], "level"),
+        (["check", "torus", "--d=--", "--euler", "3"], "d"),
+        (["identity", "--d", "3", "--modulus=--"], "modulus"),
+        (["check", "torus", "--d", "3", "--euler", "3", "--format=--"], "format"),
+        (["--batch=--"], "batch"),
+    ],
+)
+def test_a_double_dash_as_an_option_value_is_a_usage_error(argv, option):
+    # before CPython 3.13 argparse drops such a "--" and hands the option an
+    # empty list, and 3.13 reads it as the value; both are refused alike
+    assert run(argv) == (1, f"usage error: argument --{option}: expected one argument\n")
+
+
 def test_classes_reports_an_undeterminable_quantity_with_its_cite(monkeypatch):
     # no argv reaches this refusal, so pi1_total is made to raise it
     def undeterminable(bundle):

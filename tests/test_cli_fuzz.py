@@ -9,10 +9,13 @@ that runs, must print canonical JSON.  A run, which adds options only for
 the subcommand its argv names, must answer exactly as one whose parser has
 every subcommand filled.
 
-In-domain values between a few dozen and the cost limits are left to the
-limit tests in test_obstruct.py and test_cli.py: near a limit a single
-check takes up to a second, which a generated suite cannot afford per
-example.  Scan axes span at most three points for the same reason.
+`check lens --p` and `check exact --euler` also draw in-domain values up
+to MAX_DIVISOR_SEARCH, the limit itself included: a divisor check there
+takes about a millisecond.  Other in-domain values between a few dozen and
+the cost limits are left to the limit tests in test_obstruct.py and
+test_cli.py: near MAX_FOLD_MODULUS, or MAX_TORUS_DIM, a single fold check
+takes up to a second, which a generated suite cannot afford per example.
+Scan axes span at most three points for the same reason.
 """
 
 import json
@@ -90,20 +93,30 @@ def _range(lo, width):
 ranges = st.one_of(int_tokens, st.builds(_range, ints, st.integers(0, 2)), malformed)
 
 
-def _options(names, values):
-    return st.tuples(*[values for _ in names]).map(
+def _options(names, values, by_name):
+    # each option drawn from values, or from its own strategy in by_name
+    return st.tuples(*[by_name.get(name, values) for name in names]).map(
         lambda vs: [t for name, v in zip(names, vs) for t in (f"--{name}", v)]
     )
 
 
+# the largest prime up to MAX_DIVISOR_SEARCH, a product of two primes either
+# side of 10^6, and the limit
+DIVISOR_SEARCH_VALUES = [2**40 - 87, 999983 * 1000003, MAX_DIVISOR_SEARCH]
+divisor_search_tokens = st.one_of(int_tokens, st.sampled_from(DIVISOR_SEARCH_VALUES).map(str))
+DIVISOR_SEARCHED = {"lens": {"p": divisor_search_tokens}, "exact": {"euler": divisor_search_tokens}}
+
+
 def _check(family):
     names = FAMILIES[family][0]
-    return _options(names, int_tokens).map(lambda opts: ["check", family, *opts])
+    return _options(names, int_tokens, DIVISOR_SEARCHED.get(family, {})).map(
+        lambda opts: ["check", family, *opts]
+    )
 
 
 def _scan(family):
     names = FAMILIES[family][0]
-    return _options(names, ranges).map(lambda opts: ["scan", "--family", family, *opts])
+    return _options(names, ranges, {}).map(lambda opts: ["scan", "--family", family, *opts])
 
 
 commands = st.one_of(
@@ -167,6 +180,11 @@ def run_full(argv):
 @example(["check", "exact", "--d", NINES, "--euler", "3", "--format", "json"])
 @example(["check", "lens", "--p", "7", "--n", NINES, "--format", "text"])
 @example(["scan", "--family", "exact", "--d", NINES, "--euler", "3", "--format", "json"])
+# a "--" glued to --level as its value
+@example(["classes", "--euler", "1", "--level", "--", "--dim", "0", "--format", "text"])
+# divisor checks at and just below the limit
+@example(["check", "lens", "--p", str(2**40 - 87), "--n", "3", "--format", "json"])
+@example(["check", "exact", "--d", "4", "--euler", str(MAX_DIVISOR_SEARCH), "--format", "text"])
 def test_run_answers_every_command_line(argv):
     code, out = cli.run(argv)
     assert code in (0, 1, 2)

@@ -128,8 +128,8 @@ def test_threads_folding_two_dense_rings_read_their_own_views():
     # Each thread alternates the one-entry view between its ring and the
     # other's; a fold that read one ring with the other ring's view would
     # print the wrong Betti numbers.  Folds at N <= (dim + 1) / 2 read a view
-    # without text, and the next fold above that fills it in, so threads race
-    # the fill too.
+    # without text, and the second fold above that fills it in, so threads
+    # race the fill too.
     dense = make_torus(160), make_custom([1, *range(2, 80), *range(80, 1, -1), 1], [1])
     moduli = (12, 100, 161, 40, 150, 162, 70, 170, 158, 200)
     expected = {(r.dim, N): fold_mod(r, N) for r in dense for N in moduli}

@@ -336,6 +336,42 @@ def divisors_by_scan(n):
     return [k for k in range(1, n + 1) if n % k == 0]
 
 
+def divisors_by_root_scan(n):
+    # the O(sqrt(n)) enumeration that the factorisation in _divisors
+    # replaced, kept as the reference up to MAX_DIVISOR_SEARCH
+    small = [k for k in range(1, math.isqrt(n) + 1) if n % k == 0]
+    return small + [n // k for k in reversed(small) if k * k != n]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, MAX_DIVISOR_SEARCH))
+def test_divisors_match_the_root_scan(n):
+    assert _divisors(n) == divisors_by_root_scan(n)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        2**40 - 87,  # the largest prime up to the limit
+        999983 * 1000003,  # two primes either side of 10^6, the trial bound squared
+        1000003**2,
+        10007**3,
+        2**40,
+        2**38 * 3,
+        5394826801,  # a Carmichael number, 7 x 13 x 17 x 23 x 31 x 67 x 73
+        3215031751,  # a strong pseudoprime to the bases 2, 3, 5 and 7: 151 x 751 x 28351
+        9624742921,  # a Carmichael number with no factor below 1000: 1171 x 2341 x 3511
+        # strong pseudoprimes with no factor below 1000: 101197 x 202393 to the
+        # bases 2, 7, 11, 13 and 17, and 117973 x 353917 to 2, 3, 5, 11 and 13
+        20481564421,
+        41752650241,
+    ],
+)
+def test_divisors_at_the_limit_match_the_root_scan(n):
+    assert n <= MAX_DIVISOR_SEARCH
+    assert _divisors(n) == divisors_by_root_scan(n)
+
+
 def test_divisors_match_a_sieve():
     limit = 5000
     sieve = [[] for _ in range(limit + 1)]
@@ -404,6 +440,20 @@ def test_cost_limits_admit_the_documented_inputs():
     assert 8 <= MAX_FOLD_MODULUS  # check_sphere(10**7 + 1, 4, 8)
     assert 10**7 + 19 <= MAX_DIVISOR_SEARCH  # check_lens(10**7 + 19, 3)
     assert 720720 <= MAX_DIVISOR_SEARCH  # exact_verdict(2000, 720720)
+
+
+@pytest.mark.parametrize(
+    "check, args",
+    [(check_lens, (2**40 - 87, 3)), (exact_verdict, (4, 999983 * 1000003)), (exact_verdict, (4, 1000003**2))],
+)
+def test_divisor_checks_near_the_limit_take_milliseconds(check, args):
+    # the O(sqrt(n)) divisor scan took 45-76 ms on each of these
+    best = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        check(*args)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.010, (args, best)
 
 
 def cli_args(params):

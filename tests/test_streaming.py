@@ -208,6 +208,16 @@ def test_a_torus_check_below_half_its_dimension_builds_no_betti_text():
     assert rss < 72 * 2**20
 
 
+def test_a_torus_check_with_one_grading_above_half_its_dimension_builds_no_betti_text():
+    # 2 N_e = 4,098 = 2 x 3 x 683, so the one grading above (dim + 1) / 2 is
+    # N = 4,098, whose fold writes its own entries instead of building the
+    # text of all 8,193 for later folds: it peaks at 73-74 MB, and at 90-91 MB
+    # with the text built at that fold (CPython 3.11).
+    code, _, rss = peak("main", ["check", "torus", "--d", "8192", "--euler", "2049", "--format", "json"])
+    assert code == 0
+    assert rss < 82 * 2**20
+
+
 def large_batch(tmp_path, *entries):
     # a batch file of the entries, then the large scan
     path = tmp_path / "batch.json"
