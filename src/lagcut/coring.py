@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 from math import gcd
+from operator import index
 from typing import NamedTuple
 
 
@@ -39,14 +40,14 @@ MAX_TORUS_DIM = 1 << 13
 
 # Largest top degree of a ring divided by the gcd g of its generator
 # degrees: the bit set that decides which degrees are generated has that
-# many bits.  Just under the limit S^1 x S^(2^24 - 1) takes about 80 ms to
-# build and check and 45 MB at its peak, the bit set being read back as a
-# string of 2^24 digits.
+# many bits.  Just under the limit, checking S^1 x S^(2^24 - 1) takes about
+# 45 ms and 42 MB, the bit set being read back as a string of 2^24 digits;
+# make_product_spheres builds it unchecked and applies only this bound.
 MAX_REDUCED_DEGREE = 1 << 24
 
 # Largest number of support pairs make_complex_projective builds (CP^n has
-# n + 1).  Just under the limit CP^n takes about 1 s to build and check and
-# 170 MB at its peak.
+# n + 1).  Just under the limit CP^n takes about 0.3 s and 104 MB to build,
+# and checking it as CohomologyRing(*ring) another 0.25 s and 64 MB.
 MAX_SUPPORT_PAIRS = 1 << 20
 
 # make_sphere, make_torus and make_product_spheres return frozen rings from
@@ -79,7 +80,10 @@ class CohomologyRing(_RingFields):
     access.  generator_degrees is a multiset (sorted tuple) of degrees of
     ring generators; multiplicity records the size of the generating set,
     which the spectral-sequence bookkeeping iterates over.  Pass both as
-    tuples; make_custom builds a ring from a dense vector.
+    tuples; make_custom builds a ring from a dense vector.  The constructor,
+    make_custom, _make and _replace check every invariant of the rings they
+    are handed.  The sphere, torus, product and CP^n factories build rings
+    valid by construction and check only their parameters (see _trusted).
     """
 
     __slots__ = ()
@@ -129,6 +133,9 @@ class CohomologyRing(_RingFields):
         # _replace builds through _make, which would skip the checks
         return cls(*iterable)
 
+    # tuple.__new__(cls, fields): the factories' rings, unchecked
+    _trusted = classmethod(tuple.__new__)
+
     @property
     def betti(self) -> tuple[int, ...]:
         """Dense Betti vector: betti[k] is dim H^k, indexed 0..dim."""
@@ -165,6 +172,14 @@ def _degree_semigroup(degrees: tuple[int, ...], limit: int) -> int:
     return reach & ~1
 
 
+def _check_reduced_degree(top: int) -> None:
+    if top > MAX_REDUCED_DEGREE:
+        raise InvalidRingError(
+            f"invalid-dimension: top degree over the generator gcd is {top}, "
+            f"above the limit of {MAX_REDUCED_DEGREE}"
+        )
+
+
 def _ungenerated(degrees: list[int], generator_degrees: tuple[int, ...]) -> list[int]:
     # The degrees (each >= 1) that are not sums of generator degrees.  Every
     # sum is a multiple of g = gcd(generator_degrees), and k is one exactly
@@ -174,11 +189,7 @@ def _ungenerated(degrees: list[int], generator_degrees: tuple[int, ...]) -> list
     if not degrees or not g:
         return degrees
     top = degrees[-1] // g
-    if top > MAX_REDUCED_DEGREE:
-        raise InvalidRingError(
-            f"invalid-dimension: top degree over the generator gcd is {top}, "
-            f"above the limit of {MAX_REDUCED_DEGREE}"
-        )
+    _check_reduced_degree(top)
     reach = _degree_semigroup(tuple(x // g for x in generator_degrees), top)
     # bits[i] is bit i of reach, read in one pass
     bits = bin(reach)[:1:-1]
@@ -195,7 +206,8 @@ def _sphere(d: int) -> CohomologyRing:
     if d < 1:
         raise InvalidRingError("invalid-dimension: sphere needs d >= 1")
     _check_digits("d", d)
-    return CohomologyRing(f"sphere:d={d}", d, ((0, 1), (d, 1)), (d,))
+    index(d)  # refuses a float d, as range and gcd do in the other factories
+    return CohomologyRing._trusted((f"sphere:d={d}", d, ((0, 1), (d, 1)), (d,)))
 
 
 def binomial_row(d: int) -> list[int]:
@@ -224,7 +236,7 @@ def _torus(d: int) -> CohomologyRing:
     if d < 1:
         raise InvalidRingError("invalid-dimension: torus needs d >= 1")
     support = tuple(enumerate(binomial_row(d)))
-    return CohomologyRing(f"torus:d={d}", d, support, (1,) * d)
+    return CohomologyRing._trusted((f"torus:d={d}", d, support, (1,) * d))
 
 
 def make_product_spheres(l: int, m: int) -> CohomologyRing:
@@ -238,8 +250,9 @@ def _product_spheres(l: int, m: int) -> CohomologyRing:
         raise InvalidRingError("invalid-dimension: need 1 <= l <= m")
     _check_digits("m", m)
     d = l + m
+    _check_reduced_degree(d // gcd(l, m))
     support = ((0, 1), (l, 2), (d, 1)) if l == m else ((0, 1), (l, 1), (m, 1), (d, 1))
-    return CohomologyRing(f"prodsph:l={l},m={m}", d, support, (l, m))
+    return CohomologyRing._trusted((f"prodsph:l={l},m={m}", d, support, (l, m)))
 
 
 def make_complex_projective(n: int) -> CohomologyRing:
@@ -253,7 +266,7 @@ def make_complex_projective(n: int) -> CohomologyRing:
             f"above the limit of {MAX_SUPPORT_PAIRS}"
         )
     support = tuple((k, 1) for k in range(0, 2 * n + 1, 2))
-    return CohomologyRing(f"cp:n={n}", 2 * n, support, (2,))
+    return CohomologyRing._trusted((f"cp:n={n}", 2 * n, support, (2,)))
 
 
 def make_custom(

@@ -13,9 +13,13 @@ every subcommand filled.
 to MAX_DIVISOR_SEARCH, the limit itself included: a divisor check there
 takes about a millisecond.  Other in-domain values between a few dozen and
 the cost limits are left to the limit tests in test_obstruct.py and
-test_cli.py: near MAX_FOLD_MODULUS, or MAX_TORUS_DIM, a single fold check
-takes up to a second, which a generated suite cannot afford per example.
-Scan axes span at most three points for the same reason.
+test_cli.py.  A fold check's cost follows the text it prints, which no
+limit bounds yet (ROADMAP item 8): at MAX_TORUS_DIM, `check torus --d 8192`
+takes about 0.5 s at --euler 720, 3.2 s and 84 MB of text at 5040, and
+would print about 2 GB at 720720, while a sphere check at grading
+MAX_FOLD_MODULUS takes about 20 ms.  A generated suite cannot
+afford that per example.  Scan axes span at most three points for the
+same reason.
 """
 
 import json

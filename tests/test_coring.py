@@ -317,10 +317,12 @@ def test_ungenerated_degrees_match_set_closure():
 
 
 def test_generated_degrees_are_read_in_linear_time():
-    # 400,001 support degrees, each looked up in a bit set of 400,000 bits
+    # 400,001 support degrees, each looked up in a bit set of 400,000 bits;
+    # the factory builds CP^n unchecked, so the constructor checks it here
     n = 400_000
-    start = time.perf_counter()
     ring = make_complex_projective(n)
+    start = time.perf_counter()
+    assert CohomologyRing(*ring) == ring
     assert time.perf_counter() - start < 1.0
     assert len(ring.support) == n + 1
     assert ring.support[-1] == (2 * n, 1)
@@ -371,6 +373,57 @@ def test_complex_projective_support_is_bounded():
             f"invalid-dimension: CP^{n} has {n + 1} support pairs, "
             f"above the limit of {MAX_SUPPORT_PAIRS}"
         )
+
+
+# ------------------------------------------------------- trust boundary
+
+FACTORY_GRIDS = {
+    "sphere": lambda: [make_sphere(d) for d in [*range(1, 301), 10**6]],
+    "torus": lambda: [make_torus(d) for d in [*range(1, 129), MAX_TORUS_DIM]],
+    "prodsph": lambda: [make_product_spheres(l, m) for m in range(1, 61) for l in range(1, m + 1)],
+    "cp": lambda: [make_complex_projective(n) for n in range(1, 201)],
+}
+
+
+@pytest.mark.parametrize("family", FACTORY_GRIDS)
+def test_every_factory_ring_is_the_ring_the_constructor_checks(family):
+    # the factories skip the invariant checks; this is where they still run
+    for ring in FACTORY_GRIDS[family]():
+        assert type(ring) is CohomologyRing
+        assert CohomologyRing(*ring) == ring
+
+
+def test_factories_build_without_the_generated_degree_check(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(coring, "_ungenerated", reached)
+    for memo in (coring._sphere, coring._torus, coring._product_spheres):
+        memo.cache_clear()
+    rings = [make_sphere(7), make_torus(6), make_product_spheres(2, 5), make_complex_projective(4)]
+    assert [ring.label for ring in rings] == ["sphere:d=7", "torus:d=6", "prodsph:l=2,m=5", "cp:n=4"]
+    for build in [
+        lambda: make_custom([1, 0, 1], [2]),
+        lambda: CohomologyRing(*rings[0]),
+        lambda: rings[1]._replace(label="t"),
+        lambda: CohomologyRing._make(rings[2]),
+    ]:
+        with pytest.raises(Reached):
+            build()
+
+
+def test_factories_refuse_a_float_parameter():
+    for build in [
+        lambda: make_sphere(7.0),
+        lambda: make_torus(6.0),
+        lambda: make_product_spheres(2.0, 5.0),
+        lambda: make_complex_projective(4.0),
+    ]:
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            build()
 
 
 # ------------------------------------------------------------- ring memo

@@ -218,6 +218,15 @@ def test_a_torus_check_with_one_grading_above_half_its_dimension_builds_no_betti
     assert rss < 82 * 2**20
 
 
+def test_cp_at_the_support_limit_builds_without_revalidating():
+    # CP^(2^20 - 1) holds MAX_SUPPORT_PAIRS pairs, which its factory builds
+    # valid by construction: the fold peaks at 121 MB, and at 184 MB with
+    # every invariant checked again on the built ring (CPython 3.11).
+    code, _, rss = peak("main", ["fold", "--candidate", "cp:n=1048575", "--modulus", "4"])
+    assert code == 0
+    assert rss < 150 * 2**20
+
+
 def large_batch(tmp_path, *entries):
     # a batch file of the entries, then the large scan
     path = tmp_path / "batch.json"
