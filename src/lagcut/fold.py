@@ -9,21 +9,23 @@ N its sum identity, N S_j = 2^d for every j, is the fold's 2-periodicity.
 
 The verdicts fold through `_fold_ring`, which returns the text of the
 tuple S_0..S_{N-1}, its 2-periodicity and S_0 without building the N
-entries.  A ring with a class in every degree, such as the torus, is read
-through a view built once per ring.  Up to N = dim it folds by N strided
-sums of its Betti list below N^2 = dim + 1 and by adding the list's chunks
-of N entries above, in O(min(N, (dim + 1) / N)) steps; above N = dim its
-fold is the Betti list, then zeros.  Above N = (dim + 1) / 2 the text of
-S_j = b_j, j >= dim + 1 - N, is a slice of the list's text, built when a
-second such fold reads it: a ring folded there once, as a large one often
-is, never builds it.  The view is kept for the last ring only, found by
-identity.  Any other ring folds by its nonzero residues in O(|support|) steps.
+entries.  Above the dimension one rule serves every ring: S_j = b_j up to
+dim and 0 above, so the shift by 2 takes S_{N-2} = 0 onto S_0 = 1 for N >=
+dim + 3, and S_{N-1} = 0 onto S_1 = b_1 != 0 at N = dim + 2; such a fold is
+the ring's Betti text, then zeros.  Any other fold of a ring with a class in
+every degree, such as the torus, reads a view built once per ring: N strided
+sums of its Betti list below N^2 = 4 (dim + 1), and the list's chunks of N
+entries added above, in O(min(N, (dim + 1) / N)) steps.  Above N = (dim +
+1) / 2 the text of S_j = b_j, j >= dim + 1 - N, is a slice of the Betti
+text, built when a second such fold reads it, so a ring folded there once
+never builds it.  Any other ring folds by its nonzero residues in O(|support|)
+steps, its Betti text in a second view.  Each view keeps one ring, by identity.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import add, itemgetter
 from typing import Iterable, Sequence
 
@@ -35,8 +37,8 @@ from .coring import CohomologyRing, _check_digits, binomial_row
 # which fold at every even divisor of 2 N_e, and the grading N of check_sphere.
 # A trace prints all N entries of a fold.  At 2 N_e = 2,096,640, the even number
 # under the limit with the largest sum of even divisors, `check torus --d 64
-# --format json` takes 0.25-0.33 s and 143 MB, nearly all for the 27 MB it prints;
-# `check sphere` at N = 2^21 takes 0.09 s (cli.run, CPython 3.11, 2-core VM).
+# --format json` takes 0.18-0.26 s and 117 MB, nearly all for the 27 MB it prints;
+# `check sphere` at N = 2^21 takes 0.03 s (cli.run, CPython 3.11, 2-core VM).
 MAX_FOLD_MODULUS = 1 << 21
 
 
@@ -72,52 +74,71 @@ def fold_mod(ring: CohomologyRing, N: int) -> tuple[int, ...]:
 
 
 def _fold_ring(ring: CohomologyRing, N: int) -> tuple[str, bool, int]:
-    # repr(fold_mod(ring, N)), whether it is 2-periodic, and S_0.  A ring with a
-    # class in every degree folds by slices; any other by residues, in
-    # O(|support|) steps.  The shift by 2 permutes Z/N, so if it keeps S on the
+    # repr(fold_mod(ring, N)), whether it is 2-periodic, and S_0: by the witness
+    # above the dimension, else by slices of a ring with a class in every degree
+    # or by residues.  The shift by 2 permutes Z/N, so if it keeps S on the
     # nonzero residues it keeps the zero ones.
-    if len(ring.support) == ring.dim + 1:
+    text = _witness_text(ring, N)
+    if text is not None:
+        return f"({text}{', 0' * (N - 1 - ring.dim)})", False, 1
+    if len(ring.support) == ring.dim + 1 and N <= ring.dim + 1:
         return _fold_dense(ring, N)
     residues = _fold_pairs(ring.support, N)
-    periodic = all(residues.get((j + 2) % N) == s for j, s in residues.items())
-    # b_0 = 1, so S_0 opens the text; each run of zeros is written at once
-    parts, last = [f"({residues[0]}"], 0
-    for j in sorted(residues)[1:]:
-        parts += (", 0" * (j - last - 1), f", {residues[j]}")
+    periodic = {(j + 2) % N: s for j, s in residues.items()} == residues
+    return f"({_zero_runs(sorted(residues.items()), N)}{',)' if N == 1 else ')'}", periodic, residues[0]
+
+
+def _zero_runs(pairs: Sequence[tuple[int, int]], N: int) -> str:
+    # the text S_0, ..., S_{N-1} of the nonzero (j, S_j) from j = 0, each run of zeros at once
+    parts, last = [str(pairs[0][1])], 0
+    for j, s in islice(pairs, 1, None):
+        parts += (", 0" * (j - last - 1), f", {s}")
         last = j
-    parts.append(", 0" * (N - 1 - last) + (",)" if N == 1 else ")"))
-    return "".join(parts), periodic, residues[0]
+    parts.append(", 0" * (N - 1 - last))
+    return "".join(parts)
+
+
+def _witness_text(ring: CohomologyRing, N: int) -> str | None:
+    # the ring's Betti text b_0, ..., b_dim when a witness above its dimension
+    # decides its fold at N, which is then not 2-periodic; None otherwise
+    if N < ring.dim + 2 or N == ring.dim + 2 and not ring.betti_number(1):
+        return None
+    _check_modulus(N)
+    if len(ring.support) == ring.dim + 1:
+        betti, text, _ = _dense_view(ring, True)
+        return text or ", ".join(map(str, betti))
+    global _last_text
+    last, text = _last_text
+    if last is not ring:
+        text = _zero_runs(ring.support, ring.dim + 1)
+        _last_text = (ring, text)
+    return text
+
+
+# the last sparse ring whose Betti text was read, and that text, as _last_view
+_last_text: tuple[CohomologyRing | None, str] = (None, "")
 
 
 def _fold_dense(ring: CohomologyRing, N: int) -> tuple[str, bool, int]:
-    # _fold_ring for a ring with every b_k >= 1.  S holds S_0..S_{min(N, size) - 1},
-    # every one nonzero; S_j = 0 above them.  Lists and map only, no tuple(genexpr):
-    # CPython frees such a tuple of under 20 entries onto its size's free list
-    # without having taken one from it, so those lists fill up.
+    # _fold_ring for a ring with every b_k >= 1 at N <= dim + 1.  Lists and map
+    # only: CPython frees a tuple(genexpr) of under 20 entries onto its size's
+    # free list without having taken one from it, so those lists fill up.
     _check_modulus(N)
     size = ring.dim + 1
     split = size - N  # S_j = b_j for j >= split
     betti, text, ends = _dense_view(ring, 2 * split < size)
-    if split <= 0:
-        S = betti
-    elif N * N < size:
+    if N * N < 4 * size:  # where strided sums beat chunks
         S = [sum(betti[j::N]) for j in range(N)]
     else:
         S = betti[:N]
         for i in range(N, size, N):
             S[:min(N, size - i)] = map(add, S, betti[i:i + N])
-    if N > size:
-        # the shift by 2 takes S_{N-2} = 0 onto S_0 = 1, or at N = size + 1
-        # S_{N-1} = 0 onto S_1 = b_1, unless size = 1 and N = 2
-        periodic = N == 2
-    else:
-        periodic = S[2:] == S[:-2] and S[:2] == S[-2:]
+    periodic = S[2:] == S[:-2] and S[:2] == S[-2:]
     if 2 * split >= size or not text:
         head = ", ".join(map(str, S))
     else:
         head = ", ".join(map(str, S[:split])) + text[ends[split]:ends[N]] if split > 0 else text
-    zeros = ", 0" * (N - len(S))
-    return f"({head}{zeros}{',)' if N == 1 else ')'}", periodic, S[0]
+    return f"({head}{',)' if N == 1 else ')'}", periodic, S[0]
 
 
 _View = tuple[list[int], str | None, list[int] | None]

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from contextvars import ContextVar
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
@@ -39,7 +40,7 @@ from .coring import (
     make_sphere,
     make_torus,
 )
-from .fold import MAX_FOLD_MODULUS, _fold_ring
+from .fold import MAX_FOLD_MODULUS, _fold_ring, _witness_text
 from .floer import (
     COHOMOLOGY_MINUS_ENDS,
     EQUALS_COHOMOLOGY,
@@ -546,6 +547,13 @@ def _torus_grading(d: int, N: int) -> tuple[TraceStep, TraceStep, bool]:
         f"N = {N}: all differential targets from degree-1 generators "
         f"are empty (nu = {nu}), so HF = H^*",
     )
+    text = _witness_text(ring, N)
+    if text is not None:
+        excluded = (
+            f"N = {N}: S = ({text}{', 0' * (N - 1 - d)}) is not equidistributed "
+            f"(N*S_0 = {N}, 2^d = {_power_of_two(d)}): excluded"
+        )
+        return collapse, TraceStep(CITE_FOLD_PERIODICITY, excluded), False
     # For even N the even and odd binomial sums are each 2^(d-1), so
     # the fold is 2-periodic exactly when it equidistributes.
     profile, periodic, s0 = _fold_ring(ring, N)
@@ -559,9 +567,14 @@ def _torus_grading(d: int, N: int) -> tuple[TraceStep, TraceStep, bool]:
     fold = TraceStep(
         CITE_FOLD_PERIODICITY,
         f"N = {N}: S = {profile} is not equidistributed "
-        f"(N*S_0 = {N * s0}, 2^d = {1 << d}): excluded",
+        f"(N*S_0 = {N * s0}, 2^d = {_power_of_two(d)}): excluded",
     )
     return collapse, fold, False
+
+
+@lru_cache(maxsize=1)
+def _power_of_two(d: int) -> str:
+    return str(1 << d)  # printed by every excluded grading of the d-torus
 
 
 def _maslov_numbers_step(retained: tuple[int, ...]) -> TraceStep:
@@ -605,6 +618,10 @@ def _product_grading(l: int, m: int, N: int) -> tuple[tuple[TraceStep, ...], boo
         CITE_COLLAPSE_CERTIFICATE,
         f"N = {N}: generator targets {targets} are all empty, HF = H^*",
     )
+    text = _witness_text(ring, N)
+    if text is not None:
+        excluded = f"N = {N}: S = ({text}{', 0' * (N - 1 - ring.dim)}) is not 2-periodic: excluded"
+        return (collapse, TraceStep(CITE_FOLD_PERIODICITY, excluded)), False, False
     profile, periodic, _ = _fold_ring(ring, N)
     if not periodic:
         step = TraceStep(

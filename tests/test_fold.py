@@ -86,10 +86,10 @@ def assert_folds_as_fold_mod(ring, N):
 
 
 def dense_boundaries(dim):
-    # where a dense fold changes shape: strided sums below N^2 = dim + 1 and
-    # chunks above it, the Betti text read above N = (dim + 1) / 2, and the
-    # Betti list itself from N = dim + 1 on
-    root, half = isqrt(dim + 1), (dim + 1) // 2
+    # where a dense fold changes shape: strided sums below N^2 = 4 (dim + 1)
+    # and chunks above it, the Betti text read above N = (dim + 1) / 2, and
+    # the Betti list itself from N = dim + 1 on
+    root, half = isqrt(4 * (dim + 1)), (dim + 1) // 2
     return {N for N in (root - 1, root, root + 1, half - 1, half, half + 1, half + 2, dim, dim + 1) if N >= 1}
 
 
@@ -97,15 +97,17 @@ def dense_boundaries(dim):
 @given(rings, dense_rings, st.integers(0, 10**6))
 @example(make_complex_projective(17), make_torus(3), 35)
 @example(make_custom([1, 2, 2, 1], [1]), make_torus(3), 0)
-# at N = 4, N^2 = dim + 1 for dim 15, dim + 1 - 1 for dim 16 and dim + 1 + 1
-# for dim 14; at N = 3, N^2 = dim + 1 for dim 8
+# at N = 8, N^2 = 4 (dim + 1) for dim 15, 4 (dim + 1) - 4 for dim 16 and
+# 4 (dim + 1) + 4 for dim 14; at N = 6, N^2 = 4 (dim + 1) for dim 8
 @example(make_torus(15), make_torus(16), 0)
 @example(make_torus(14), make_custom([1, 2, 3, 1, 3, 1, 3, 2, 1], [1]), 0)
 def test_residue_fold_matches_the_dense_fold(ring, other, seed):
     # the wrap at j = N - 2, N - 1 is where a residue fold goes wrong, so
-    # every ring also folds at N <= dim + 3, where its degrees wrap
+    # every ring also folds at N <= dim + 3, where its degrees wrap; from
+    # dim + 2 on a witness decides most folds, and one large N is among them
     dim = ring.dim
-    moduli = {1, 2, dim, dim + 1, dim + 2, dim + 3, 1 + seed % (3 * dim + 5), *dense_boundaries(dim)}
+    moduli = {1, 2, dim, dim + 1, dim + 2, dim + 3, 1 + seed % (3 * dim + 5), 4 * dim + 5 + seed % 4096}
+    moduli.update(dense_boundaries(dim))
     for N in sorted(moduli):
         assert_folds_as_fold_mod(ring, N)
     for N in sorted(dense_boundaries(other.dim)):
@@ -124,18 +126,33 @@ def test_residue_fold_matches_the_dense_fold(ring, other, seed):
             assert_folds_as_fold_mod(r, N)
 
 
-def test_threads_folding_two_dense_rings_read_their_own_views():
+def test_witness_edges_above_the_dimension():
+    # At N = dim + 2 the shift by 2 takes S_{N-1} = 0 onto S_1 = b_1, so a
+    # ring with b_1 = 0 folds there: S^2 and CP^1 are 2-periodic at N = 4.
+    for ring in (make_sphere(2), make_complex_projective(1)):
+        assert _fold_ring(ring, 4) == ("(1, 0, 1, 0)", True, 1)
+    # The d-torus at N = d + 2 has S_{N-2} = S_0 = 1; its witness is S_{N-1} = 0
+    # against S_1 = d.
+    for d in range(1, 12):
+        S = fold_mod(make_torus(d), d + 2)
+        assert S[d] == S[0] == 1 and S[d + 1] == 0 != S[1]
+        assert_folds_as_fold_mod(make_torus(d), d + 2)
+    # the point: dim = 0, so N = 2 is dim + 2 with b_1 = 0 and N = 5 is above it
+    point = make_custom([1], [])
+    folds = [_fold_ring(point, N) for N in (1, 2, 5)]
+    assert folds == [("(1,)", True, 1), ("(1, 0)", True, 1), ("(1, 0, 0, 0, 0)", False, 1)]
+    for N in (1, 2, 3, 5):
+        assert_folds_as_fold_mod(point, N)
+
+
+def assert_threads_read_their_own_views(pair, moduli):
     # Each thread alternates the one-entry view between its ring and the
     # other's; a fold that read one ring with the other ring's view would
-    # print the wrong Betti numbers.  Folds at N <= (dim + 1) / 2 read a view
-    # without text, and the second fold above that fills it in, so threads
-    # race the fill too.
-    dense = make_torus(160), make_custom([1, *range(2, 80), *range(80, 1, -1), 1], [1])
-    moduli = (12, 100, 161, 40, 150, 162, 70, 170, 158, 200)
-    expected = {(r.dim, N): fold_mod(r, N) for r in dense for N in moduli}
+    # print the wrong Betti numbers.
+    expected = {(r.dim, N): fold_mod(r, N) for r in pair for N in moduli}
     failures = []
     # two threads per ring, so they outnumber the cores of a small host
-    start = threading.Barrier(2 * len(dense))
+    start = threading.Barrier(2 * len(pair))
 
     def fold_many(ring):
         start.wait()
@@ -146,7 +163,7 @@ def test_threads_folding_two_dense_rings_read_their_own_views():
                     failures.append((ring.label, N))
                     return
 
-    threads = [threading.Thread(target=fold_many, args=(r,)) for r in dense * 2]
+    threads = [threading.Thread(target=fold_many, args=(r,)) for r in pair * 2]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -158,6 +175,20 @@ def test_threads_folding_two_dense_rings_read_their_own_views():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert failures == []
+
+
+def test_threads_folding_two_dense_rings_read_their_own_views():
+    # Folds at N <= (dim + 1) / 2 read a view without text, and the second
+    # fold above that fills it in, so threads race the fill too.
+    dense = make_torus(160), make_custom([1, *range(2, 80), *range(80, 1, -1), 1], [1])
+    assert_threads_read_their_own_views(dense, (12, 100, 161, 40, 150, 162, 70, 170, 158, 200))
+
+
+def test_threads_folding_two_sparse_rings_read_their_own_views():
+    # the Betti text of a sparse ring is a second one-entry view, built by
+    # a fold above its dimension
+    sparse = make_product_spheres(3, 70), make_sphere(150)
+    assert_threads_read_their_own_views(sparse, (12, 75, 152, 40, 160, 153, 73, 300, 151, 76))
 
 
 def test_dense_folds_hold_no_more_memory_as_they_repeat():

@@ -23,7 +23,7 @@ from lagcut.coring import (
     make_sphere,
     make_torus,
 )
-from lagcut.fold import _fold_ring, fold_mod, roots_of_unity_residual
+from lagcut.fold import fold_mod, roots_of_unity_residual
 from lagcut.obstruct import (
     CONSTRAINED,
     INCONCLUSIVE,
@@ -614,15 +614,17 @@ def scan_rows(family, ranges, emit=None):
     return rows
 
 
-def test_torus_scan_folds_each_distinct_ring_and_grading_once(monkeypatch):
-    folds = counting(monkeypatch, obstruct, "_fold_ring")
+def test_torus_scan_builds_each_distinct_ring_and_grading_once(monkeypatch):
+    # most of these gradings lie above d + 1, where no fold runs, so the
+    # grading builds and their certificates are counted
+    builds = counting(monkeypatch, obstruct, "_torus_grading")
     certificates = counting(monkeypatch, obstruct, "ss_collapse_certificate")
     rows = scan_rows("torus", {"d": range(3, 9), "euler": range(1, 25)})
     assert len(rows) == 6 * 24
     expected = collections.Counter(
         (d, N) for d in range(3, 9) for N in {N for e in range(1, 25) for N in even_gradings_from_four(e)}
     )
-    assert collections.Counter((ring.dim, N) for ring, N in folds) == expected
+    assert collections.Counter(builds) == expected
     assert collections.Counter((ring.dim, N) for ring, N in certificates) == expected
 
 
@@ -670,36 +672,38 @@ def test_a_scan_keeps_no_value_with_more_detail_than_the_limit(monkeypatch):
     assert [r.verdict for r in rows] == [check_torus(1024, 180), check_torus(1024, 360)]
 
 
-def check_torus_folds(monkeypatch, d, N_e):
-    folds = counting(monkeypatch, obstruct, "_fold_ring")
+def check_torus_builds(monkeypatch, d, N_e):
+    # the gradings two lone checks build
+    builds = counting(monkeypatch, obstruct, "_torus_grading")
     first = check_torus(d, N_e)
     second = check_torus(d, N_e)
     assert first == second
-    return len(folds)
+    return len(builds)
 
 
 def test_no_memo_outlives_a_scan_that_returns(monkeypatch):
     scan_rows("torus", {"d": [6], "euler": [12]})
     assert obstruct._SCAN_MEMO.get() is None
-    # 2 N_e = 24 has the gradings 4, 6, 8, 12 and 24, folded by each call
-    assert check_torus_folds(monkeypatch, 6, 12) == 2 * 5
+    # 2 N_e = 24 has the gradings 4, 6, 8, 12 and 24, built by each call
+    assert check_torus_builds(monkeypatch, 6, 12) == 2 * 5
 
 
 def test_no_memo_outlives_a_scan_that_raises(monkeypatch):
     calls = []
+    build = obstruct._torus_grading
 
-    def failing_fold(ring, N):
+    def failing_build(d, N):
         calls.append(N)
         if len(calls) == 3:
-            raise RuntimeError("fold failed")
-        return _fold_ring(ring, N)
+            raise RuntimeError("grading failed")
+        return build(d, N)
 
-    monkeypatch.setattr(obstruct, "_fold_ring", failing_fold)
-    with pytest.raises(RuntimeError, match="fold failed"):
+    monkeypatch.setattr(obstruct, "_torus_grading", failing_build)
+    with pytest.raises(RuntimeError, match="grading failed"):
         scan_rows("torus", {"d": [6, 7], "euler": [12]})
     monkeypatch.undo()
     assert obstruct._SCAN_MEMO.get() is None
-    assert check_torus_folds(monkeypatch, 6, 12) == 2 * 5
+    assert check_torus_builds(monkeypatch, 6, 12) == 2 * 5
 
 
 def test_no_memo_outlives_a_scan_whose_callback_raises(monkeypatch):
@@ -716,7 +720,7 @@ def test_no_memo_outlives_a_scan_whose_callback_raises(monkeypatch):
         scan_rows("torus", {"d": [6, 7, 8], "euler": [12]}, failing_emit)
     assert seen == [{"d": 6, "euler": 12}, {"d": 7, "euler": 12}]
     assert obstruct._SCAN_MEMO.get() is None
-    assert check_torus_folds(monkeypatch, 6, 12) == 2 * 5
+    assert check_torus_builds(monkeypatch, 6, 12) == 2 * 5
 
 
 @pytest.mark.parametrize(
