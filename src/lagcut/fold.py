@@ -7,19 +7,22 @@ the integer side is always the authority.
 A torus folds like any other ring, `fold_mod(make_torus(d), N)`; for even
 N its sum identity, N S_j = 2^d for every j, is the fold's 2-periodicity.
 
-The verdicts fold through `_fold_ring`, which returns the text of the
-tuple S_0..S_{N-1}, its 2-periodicity and S_0 without building the N
-entries.  Above the dimension one rule serves every ring: S_j = b_j up to
-dim and 0 above, so the shift by 2 takes S_{N-2} = 0 onto S_0 = 1 for N >=
-dim + 3, and S_{N-1} = 0 onto S_1 = b_1 != 0 at N = dim + 2; such a fold is
-the ring's Betti text, then zeros.  Any other fold of a ring with a class in
-every degree, such as the torus, reads a view built once per ring: N strided
-sums of its Betti list below N^2 = 4 (dim + 1), and the list's chunks of N
-entries added above, in O(min(N, (dim + 1) / N)) steps.  Above N = (dim +
-1) / 2 the text of S_j = b_j, j >= dim + 1 - N, is a slice of the Betti
-text, built when a second such fold reads it, so a ring folded there once
-never builds it.  Any other ring folds by its nonzero residues in O(|support|)
-steps, its Betti text in a second view.  Each view keeps one ring, by identity.
+Every verdict folds through one call, `_fold_ring(ring, N)`, which decides
+the fold without building its N entries.  It returns the text of S_0..S_k,
+S_k the last nonzero entry, the count N - 1 - k of zeros after it, the
+fold's 2-periodicity and S_0; for N >= 2 the tuple's text is "(", that
+text, ", 0" once per zero, then ")".  Above the dimension one rule serves
+every ring: S_j = b_j up to dim and 0 above, so the shift by 2 takes
+S_{N-2} = 0 onto S_0 = 1 for N >= dim + 3, and S_{N-1} = 0 onto S_1 = b_1
+!= 0 at N = dim + 2; such a fold is the ring's Betti text, then N - 1 - dim
+zeros.  Any other fold of a ring with a class in every degree, such as the
+torus, reads a view built once per ring: N strided sums of its Betti list
+below N^2 = 4 (dim + 1), and the list's chunks of N entries added above, in
+O(min(N, (dim + 1) / N)) steps.  Above N = (dim + 1) / 2 the text of S_j =
+b_j, j >= dim + 1 - N, is a slice of the Betti text, built when a second
+such fold reads it, so a ring folded there once never builds it.  Any other
+ring folds by its nonzero residues in O(|support|) steps, its Betti text in
+a second view.  Each view keeps one ring, by identity.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ def _check_modulus(N: int) -> None:
 
 def _fold_pairs(pairs: Iterable[tuple[int, int]], N: int) -> dict[int, int]:
     # {j: S_j} for the nonzero S_j, S_j summing the dimensions b > 0 of the pairs (k, b), k = j mod N
-    _check_modulus(N)
     out: dict[int, int] = {}
     for k, b in pairs:
         j = k % N
@@ -66,51 +68,50 @@ def _fold_pairs(pairs: Iterable[tuple[int, int]], N: int) -> dict[int, int]:
 
 def fold_mod(ring: CohomologyRing, N: int) -> tuple[int, ...]:
     """Fold the Betti numbers of a ring into the Z/N grading: S_0..S_{N-1}."""
-    residues = _fold_pairs(ring.support, N)  # refuses an N out of range before allocating
+    _check_modulus(N)  # before the N entries are allocated
+    residues = _fold_pairs(ring.support, N)
     out = [0] * N
     for j, s in residues.items():
         out[j] = s
     return tuple(out)
 
 
-def _fold_ring(ring: CohomologyRing, N: int) -> tuple[str, bool, int]:
-    # repr(fold_mod(ring, N)), whether it is 2-periodic, and S_0: by the witness
-    # above the dimension, else by slices of a ring with a class in every degree
-    # or by residues.  The shift by 2 permutes Z/N, so if it keeps S on the
-    # nonzero residues it keeps the zero ones.
-    text = _witness_text(ring, N)
-    if text is not None:
-        return f"({text}{', 0' * (N - 1 - ring.dim)})", False, 1
-    if len(ring.support) == ring.dim + 1 and N <= ring.dim + 1:
+def _fold_ring(ring: CohomologyRing, N: int) -> tuple[str, int, bool, int]:
+    # The text S_0, ..., S_k of fold_mod(ring, N) up to its last nonzero entry
+    # S_k, the N - 1 - k zeros after it, whether the fold is 2-periodic, and
+    # S_0: by the witness above the dimension, else by slices of a ring with a
+    # class in every degree or by residues.  The shift by 2 permutes Z/N, so
+    # if it keeps S on the nonzero residues it keeps the zero ones.
+    _check_modulus(N)
+    dim = ring.dim
+    if N >= dim + 3 or N == dim + 2 and ring.betti_number(1):
+        return _betti_text(ring), N - 1 - dim, False, 1
+    if len(ring.support) == dim + 1 and N <= dim + 1:
         return _fold_dense(ring, N)
     residues = _fold_pairs(ring.support, N)
     periodic = {(j + 2) % N: s for j, s in residues.items()} == residues
-    return f"({_zero_runs(sorted(residues.items()), N)}{',)' if N == 1 else ')'}", periodic, residues[0]
+    pairs = sorted(residues.items())
+    return _zero_runs(pairs), N - 1 - pairs[-1][0], periodic, residues[0]
 
 
-def _zero_runs(pairs: Sequence[tuple[int, int]], N: int) -> str:
-    # the text S_0, ..., S_{N-1} of the nonzero (j, S_j) from j = 0, each run of zeros at once
+def _zero_runs(pairs: Sequence[tuple[int, int]]) -> str:
+    # the text S_0, ..., S_k of the nonzero (j, S_j) from j = 0 to k, each run of zeros at once
     parts, last = [str(pairs[0][1])], 0
     for j, s in islice(pairs, 1, None):
         parts += (", 0" * (j - last - 1), f", {s}")
         last = j
-    parts.append(", 0" * (N - 1 - last))
     return "".join(parts)
 
 
-def _witness_text(ring: CohomologyRing, N: int) -> str | None:
-    # the ring's Betti text b_0, ..., b_dim when a witness above its dimension
-    # decides its fold at N, which is then not 2-periodic; None otherwise
-    if N < ring.dim + 2 or N == ring.dim + 2 and not ring.betti_number(1):
-        return None
-    _check_modulus(N)
+def _betti_text(ring: CohomologyRing) -> str:
+    # b_0, ..., b_dim, read from the ring's view
     if len(ring.support) == ring.dim + 1:
         betti, text, _ = _dense_view(ring, True)
         return text or ", ".join(map(str, betti))
     global _last_text
     last, text = _last_text
     if last is not ring:
-        text = _zero_runs(ring.support, ring.dim + 1)
+        text = _zero_runs(ring.support)
         _last_text = (ring, text)
     return text
 
@@ -119,11 +120,11 @@ def _witness_text(ring: CohomologyRing, N: int) -> str | None:
 _last_text: tuple[CohomologyRing | None, str] = (None, "")
 
 
-def _fold_dense(ring: CohomologyRing, N: int) -> tuple[str, bool, int]:
-    # _fold_ring for a ring with every b_k >= 1 at N <= dim + 1.  Lists and map
-    # only: CPython frees a tuple(genexpr) of under 20 entries onto its size's
-    # free list without having taken one from it, so those lists fill up.
-    _check_modulus(N)
+def _fold_dense(ring: CohomologyRing, N: int) -> tuple[str, int, bool, int]:
+    # _fold_ring for a ring with every b_k >= 1 at N <= dim + 1, so every S_j
+    # is nonzero.  Lists and map only: CPython frees a tuple(genexpr) of under
+    # 20 entries onto its size's free list without having taken one from it,
+    # so those lists fill up.
     size = ring.dim + 1
     split = size - N  # S_j = b_j for j >= split
     betti, text, ends = _dense_view(ring, 2 * split < size)
@@ -138,7 +139,7 @@ def _fold_dense(ring: CohomologyRing, N: int) -> tuple[str, bool, int]:
         head = ", ".join(map(str, S))
     else:
         head = ", ".join(map(str, S[:split])) + text[ends[split]:ends[N]] if split > 0 else text
-    return f"({head}{',)' if N == 1 else ')'}", periodic, S[0]
+    return head, 0, periodic, S[0]
 
 
 _View = tuple[list[int], str | None, list[int] | None]

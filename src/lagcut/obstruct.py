@@ -40,7 +40,7 @@ from .coring import (
     make_sphere,
     make_torus,
 )
-from .fold import MAX_FOLD_MODULUS, _fold_ring, _witness_text
+from .fold import MAX_FOLD_MODULUS, _fold_ring
 from .floer import (
     COHOMOLOGY_MINUS_ENDS,
     EQUALS_COHOMOLOGY,
@@ -498,10 +498,10 @@ def _sphere_local(d: int, N_e: int) -> tuple[tuple[TraceStep, ...], bool]:
 
 def _sphere_fold(d: int, N: int) -> tuple[tuple[TraceStep, ...], str]:
     # the fold of the d-sphere at grading N: its steps and the status it gives
-    profile, periodic, _ = _fold_ring(make_sphere(d), N)
+    text, zeros, periodic, _ = _fold_ring(make_sphere(d), N)
     step = TraceStep(
         CITE_FOLD_PERIODICITY,
-        f"S = {profile}: 2-periodic = {periodic}" + ("" if periodic else ", contradiction"),
+        f"S = ({text}{', 0' * zeros}): 2-periodic = {periodic}" + ("" if periodic else ", contradiction"),
     )
     if not periodic:
         return (step,), OBSTRUCTED
@@ -547,16 +547,9 @@ def _torus_grading(d: int, N: int) -> tuple[TraceStep, TraceStep, bool]:
         f"N = {N}: all differential targets from degree-1 generators "
         f"are empty (nu = {nu}), so HF = H^*",
     )
-    text = _witness_text(ring, N)
-    if text is not None:
-        excluded = (
-            f"N = {N}: S = ({text}{', 0' * (N - 1 - d)}) is not equidistributed "
-            f"(N*S_0 = {N}, 2^d = {_power_of_two(d)}): excluded"
-        )
-        return collapse, TraceStep(CITE_FOLD_PERIODICITY, excluded), False
     # For even N the even and odd binomial sums are each 2^(d-1), so
     # the fold is 2-periodic exactly when it equidistributes.
-    profile, periodic, s0 = _fold_ring(ring, N)
+    text, zeros, periodic, s0 = _fold_ring(ring, N)
     if periodic:
         fold = TraceStep(
             CITE_FOLD_PERIODICITY,
@@ -566,7 +559,7 @@ def _torus_grading(d: int, N: int) -> tuple[TraceStep, TraceStep, bool]:
         return collapse, fold, True
     fold = TraceStep(
         CITE_FOLD_PERIODICITY,
-        f"N = {N}: S = {profile} is not equidistributed "
+        f"N = {N}: S = ({text}{', 0' * zeros}) is not equidistributed "
         f"(N*S_0 = {N * s0}, 2^d = {_power_of_two(d)}): excluded",
     )
     return collapse, fold, False
@@ -618,17 +611,14 @@ def _product_grading(l: int, m: int, N: int) -> tuple[tuple[TraceStep, ...], boo
         CITE_COLLAPSE_CERTIFICATE,
         f"N = {N}: generator targets {targets} are all empty, HF = H^*",
     )
-    text = _witness_text(ring, N)
-    if text is not None:
-        excluded = f"N = {N}: S = ({text}{', 0' * (N - 1 - ring.dim)}) is not 2-periodic: excluded"
-        return (collapse, TraceStep(CITE_FOLD_PERIODICITY, excluded)), False, False
-    profile, periodic, _ = _fold_ring(ring, N)
+    text, zeros, periodic, _ = _fold_ring(ring, N)
     if not periodic:
         step = TraceStep(
             CITE_FOLD_PERIODICITY,
-            f"N = {N}: S = {profile} is not 2-periodic: excluded",
+            f"N = {N}: S = ({text}{', 0' * zeros}) is not 2-periodic: excluded",
         )
         return (collapse, step), False, False
+    profile = f"({text}{', 0' * zeros})"
     if l < m and N == m + 2 and (l, m) in _PRODUCT_EXCEPTIONS:
         step = TraceStep(
             CITE_EXCEPTIONAL_RETAINED,

@@ -238,6 +238,43 @@ def test_product_spheres_validation():
         check_product_spheres(1, 2, 0)
 
 
+def test_every_fold_a_verdict_prints_is_the_fold():
+    # Each S = (...) a trace prints is repr(fold_mod(ring, N)) and each torus
+    # N*S_0 figure is N S_0, at every grading of the tori, products and
+    # spheres in this grid; a fold step without its own "N = " prefix is the
+    # sphere's, at the check's grading.
+    fold_cites = {"fold-two-periodicity", "exceptional-grading-retained", "fold-discrepancy"}
+
+    def assert_prints_its_folds(verdict, ring, grading=None):
+        for step in verdict.trace:
+            printed = re.findall(r"S = (\([\d, ]*\))", step.detail)
+            products = re.findall(r"N\*S_0 = (\d+)", step.detail)
+            assert step.cite not in fold_cites or printed or products, step
+            if not printed and not products:
+                continue
+            prefix = re.match(r"N = (\d+): ", step.detail)
+            N = int(prefix[1]) if prefix else grading
+            S = fold_mod(ring, N)
+            assert printed == [repr(S)] * len(printed), (ring.label, N, step)
+            assert products == [str(N * S[0])] * len(products), (ring.label, N, step)
+
+    for d in range(1, 41):
+        ring = make_torus(d)
+        for N_e in range(1, 61):
+            assert_prints_its_folds(check_torus(d, N_e), ring)
+    for m in range(1, 14):
+        for l in range(1, m + 1):
+            ring = make_product_spheres(l, m)
+            for N_e in range(1, 61):
+                assert_prints_its_folds(check_product_spheres(l, m, N_e), ring)
+    for d in range(2, 41):
+        ring = make_sphere(d)
+        for N_e in range(1, 31):
+            for N in range(3, 2 * N_e + 1):
+                if 2 * N_e % N == 0:
+                    assert_prints_its_folds(check_sphere(d, N_e, N), ring, N)
+
+
 # --------------------------------------------------------------- exact check
 
 
