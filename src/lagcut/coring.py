@@ -51,17 +51,10 @@ MAX_REDUCED_DEGREE = 1 << 24
 MAX_SUPPORT_PAIRS = 1 << 20
 
 # make_sphere, make_torus and make_product_spheres return frozen rings from
-# memos keyed on their exact int arguments (typed, so make_torus(True)
-# keeps its label).  A scan puts the ring's parameters in its outer loops:
-# the first 60 ops of the benchmark's sweep workload (seed 5) make 14,011
-# ring calls, 91% of them repeating the call before, for 293 distinct
-# rings, at most 207 of one family and 64 in one scan.  A sphere or product
-# ring holds at most four pairs, so a full memo of RING_MEMO_SIZE of them
-# holds under 1 MB.  make_torus(8192) holds 6.4 MB of binomials, so the
-# torus memo keeps TORUS_MEMO_SIZE rings, about 120 MB if every one is that
-# large; a torus scan meets its tori in order of d.
-RING_MEMO_SIZE = 256
-TORUS_MEMO_SIZE = 16
+# one-entry memos keyed on their exact int arguments (typed, so
+# make_torus(True) keeps its label).  A check asks for its ring again at each
+# grading, and a scan meets its rings one after another in its outer loops,
+# so the last ring of each factory is the only one asked for again.
 
 
 class _RingFields(NamedTuple):
@@ -83,7 +76,9 @@ class CohomologyRing(_RingFields):
     tuples; make_custom builds a ring from a dense vector.  The constructor,
     make_custom, _make and _replace check every invariant of the rings they
     are handed.  The sphere, torus, product and CP^n factories build rings
-    valid by construction and check only their parameters (see _trusted).
+    valid by construction and check only their parameters (see _trusted);
+    the sphere, torus and product factories keep their last ring, the only
+    one a check or a scan asks for again.
     """
 
     __slots__ = ()
@@ -201,7 +196,7 @@ def make_sphere(d: int) -> CohomologyRing:
     return _sphere(d)
 
 
-@lru_cache(maxsize=RING_MEMO_SIZE, typed=True)
+@lru_cache(maxsize=1, typed=True)
 def _sphere(d: int) -> CohomologyRing:
     if d < 1:
         raise InvalidRingError("invalid-dimension: sphere needs d >= 1")
@@ -231,7 +226,7 @@ def make_torus(d: int) -> CohomologyRing:
     return _torus(d)
 
 
-@lru_cache(maxsize=TORUS_MEMO_SIZE, typed=True)
+@lru_cache(maxsize=1, typed=True)
 def _torus(d: int) -> CohomologyRing:
     if d < 1:
         raise InvalidRingError("invalid-dimension: torus needs d >= 1")
@@ -244,7 +239,7 @@ def make_product_spheres(l: int, m: int) -> CohomologyRing:
     return _product_spheres(l, m)
 
 
-@lru_cache(maxsize=RING_MEMO_SIZE, typed=True)
+@lru_cache(maxsize=1, typed=True)
 def _product_spheres(l: int, m: int) -> CohomologyRing:
     if l < 1 or m < l:
         raise InvalidRingError("invalid-dimension: need 1 <= l <= m")

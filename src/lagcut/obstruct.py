@@ -287,6 +287,7 @@ _TORUS_ORIENTABLE = TraceStep(
 _TORUS_GRADING_TWO = TraceStep(
     CITE_GRADING_TWO, "N = 2 cannot be excluded: every fold is 2-periodic mod 2"
 )
+_TORUS_MASLOV_NUMBERS = TraceStep(CITE_MASLOV_BOUND, "admissible Maslov numbers: [2]")
 _PRODUCT_ORIENTABLE = TraceStep(
     CITE_MASLOV_EVEN_ORIENTATION, "a product of spheres is orientable, so N is even"
 )
@@ -536,9 +537,8 @@ def check_sphere(d: int, N_e: int, N: int) -> Verdict:
     return Verdict(status, None, trace + steps + fold)
 
 
-def _torus_grading(d: int, N: int) -> tuple[TraceStep, TraceStep, bool]:
-    # The collapse and fold steps of the d-torus at an even grading N >= 4,
-    # and whether the grading is retained.
+def _torus_grading(d: int, N: int) -> tuple[TraceStep, TraceStep]:
+    # The collapse and fold steps of the d-torus at an even grading N >= 4.
     ring = make_torus(d)
     # always valid: degree-1 generators and N >= 4 make every target 2 - rN < 0
     nu = ss_collapse_certificate(ring, N)
@@ -547,31 +547,20 @@ def _torus_grading(d: int, N: int) -> tuple[TraceStep, TraceStep, bool]:
         f"N = {N}: all differential targets from degree-1 generators "
         f"are empty (nu = {nu}), so HF = H^*",
     )
-    # For even N the even and odd binomial sums are each 2^(d-1), so
-    # the fold is 2-periodic exactly when it equidistributes.
-    text, zeros, periodic, s0 = _fold_ring(ring, N)
-    if periodic:
-        fold = TraceStep(
-            CITE_FOLD_PERIODICITY,
-            f"N = {N}: folded dimensions equidistribute "
-            f"(N*S_0 = {N * s0} = 2^d), grading retained",
-        )
-        return collapse, fold, True
+    # No such fold is 2-periodic (README): a 2-periodic one would
+    # equidistribute, N*S_0 = 2^d, and (1 + w)^d = 0 fails at w = e^(2 pi i/N).
+    text, zeros, _, s0 = _fold_ring(ring, N)
     fold = TraceStep(
         CITE_FOLD_PERIODICITY,
         f"N = {N}: S = ({text}{', 0' * zeros}) is not equidistributed "
         f"(N*S_0 = {N * s0}, 2^d = {_power_of_two(d)}): excluded",
     )
-    return collapse, fold, False
+    return collapse, fold
 
 
 @lru_cache(maxsize=1)
 def _power_of_two(d: int) -> str:
     return str(1 << d)  # printed by every excluded grading of the d-torus
-
-
-def _maslov_numbers_step(retained: tuple[int, ...]) -> TraceStep:
-    return TraceStep(CITE_MASLOV_BOUND, f"admissible Maslov numbers: {sorted(retained)}")
 
 
 def check_torus(d: int, N_e: int) -> Verdict:
@@ -585,16 +574,11 @@ def check_torus(d: int, N_e: int) -> Verdict:
     make_torus(d)
     candidates, divides = _shared(_even_gradings, N_e)
     trace = [_TORUS_ORIENTABLE, divides, _TORUS_GRADING_TWO]
-    retained = [2]
     for N in candidates:
-        if N < 4:
-            continue
-        collapse, fold, periodic = _shared(_torus_grading, d, N)
-        trace += (collapse, fold)
-        if periodic:
-            retained.append(N)
-    trace.append(_shared(_maslov_numbers_step, tuple(retained)))
-    return Verdict(CONSTRAINED, {"N": sorted(retained)}, tuple(trace))
+        if N >= 4:
+            trace += _shared(_torus_grading, d, N)
+    trace.append(_TORUS_MASLOV_NUMBERS)
+    return Verdict(CONSTRAINED, {"N": [2]}, tuple(trace))
 
 
 _PRODUCT_EXCEPTIONS = {(1, 2), (4, 6)}

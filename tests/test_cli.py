@@ -336,6 +336,9 @@ def test_identity_reports_the_folded_binomial_row():
         ("9000", "4", "invalid-dimension: torus dimension 9000 is outside [0, 8192]"),
         ("5", "0", "invalid-modulus: identity requires even N >= 2"),
         ("5", "-4", "invalid-modulus: identity requires even N >= 2"),
+        # the dimension is refused before the modulus
+        ("0", "4", "--d must be >= 1"),
+        ("-3", "3", "--d must be >= 1"),
     ],
 )
 def test_identity_refusals(d, N, message):

@@ -20,8 +20,6 @@ from lagcut.coring import (
     MAX_REDUCED_DEGREE,
     MAX_SUPPORT_PAIRS,
     MAX_TORUS_DIM,
-    RING_MEMO_SIZE,
-    TORUS_MEMO_SIZE,
     CohomologyRing,
     InvalidRingError,
     _degree_semigroup,
@@ -429,17 +427,18 @@ def test_factories_refuse_a_float_parameter():
 # ------------------------------------------------------------- ring memo
 
 MEMOS = [
-    (make_sphere, coring._sphere, RING_MEMO_SIZE, (7,)),
-    (make_torus, coring._torus, TORUS_MEMO_SIZE, (6,)),
-    (make_product_spheres, coring._product_spheres, RING_MEMO_SIZE, (2, 5)),
+    (make_sphere, coring._sphere, (7,)),
+    (make_torus, coring._torus, (6,)),
+    (make_product_spheres, coring._product_spheres, (2, 5)),
 ]
 
 
-@pytest.mark.parametrize("make, memo, size, args", MEMOS)
-def test_ring_constructors_share_their_ring(make, memo, size, args):
+@pytest.mark.parametrize("make, memo, args", MEMOS)
+def test_ring_constructors_share_their_ring(make, memo, args):
     # a plain function, so tracing that wraps module functions still sees it
     assert inspect.isfunction(make)
-    assert memo.cache_parameters() == {"maxsize": size, "typed": True}
+    # each memo keeps the last ring of its factory, the only one asked again
+    assert memo.cache_parameters() == {"maxsize": 1, "typed": True}
     ring = make(*args)
     assert make(*args) is ring
     with pytest.raises(AttributeError):

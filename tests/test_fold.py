@@ -322,13 +322,14 @@ def test_identity_check_rejects_odd_modulus():
 def test_torus_fold_periodicity_matches_identity():
     # for even N the even and odd binomial sums are each 2^(d-1), so a
     # 2-periodic torus fold is an equidistributed one: every S_j equal and
-    # N*S_0 = 2^d
+    # N*S_0 = 2^d.  None is, which check_torus states instead of deciding.
     for d in range(1, 41):
         ring = make_torus(d)
         for N in range(4, 3 * d + 1, 2):
             S = fold_mod(ring, N)
             equidistributed = len(set(S)) == 1 and N * S[0] == 1 << d
             assert is_two_periodic(S) == equidistributed, (d, N)
+            assert not is_two_periodic(S), (d, N)
 
 
 def test_two_periodicity():
@@ -405,3 +406,9 @@ def test_torus_dimension_bound():
 def test_trig_residual_rejects_bad_modulus():
     with pytest.raises(InvalidModulusError):
         roots_of_unity_residual(4, 1)
+
+
+def test_trig_residual_rejects_a_negative_dimension():
+    with pytest.raises(ValueError, match=r"^d must be >= 0$") as refused:
+        roots_of_unity_residual(-1, 4)
+    assert refused.type is ValueError

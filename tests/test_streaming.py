@@ -227,6 +227,19 @@ def test_cp_at_the_support_limit_builds_without_revalidating():
     assert rss < 150 * 2**20
 
 
+def test_a_batch_of_sixteen_tori_holds_one_ring(tmp_path):
+    # Each entry builds its torus, 6.4 MB of binomials at d = 8192, and the
+    # torus memo keeps only the last one, so the batch holds one ring at a
+    # time: it peaks at 30 MB, and at 132 MB with all 16 tori kept (CPython
+    # 3.11).
+    path = tmp_path / "batch.json"
+    entries = [["torus", "--d", str(d), "--euler", "1", "--format", "json"] for d in range(8177, 8193)]
+    path.write_text(json.dumps([{"command": "check", "args": args} for args in entries]))
+    code, _, rss = peak("main", ["--batch", str(path)])
+    assert code == 0
+    assert rss < 48 * 2**20
+
+
 def large_batch(tmp_path, *entries):
     # a batch file of the entries, then the large scan
     path = tmp_path / "batch.json"
