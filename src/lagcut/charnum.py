@@ -103,7 +103,8 @@ class TorsionConstraint(NamedTuple):
     """Divisibility constraint on a Maslov number from torsion pi_1.
 
     Encodes: modulus divides multiplier * N_L.  The reduced divisor is the
-    equivalent single divisor of N_L itself.
+    equivalent single divisor of N_L itself, >= 0; it is 0 when only N_L = 0
+    satisfies the constraint, and 1 when every N_L does.
     """
 
     modulus: int
@@ -116,9 +117,8 @@ class TorsionConstraint(NamedTuple):
 
     @property
     def reduced_divisor(self) -> int:
-        if self.modulus == 0:
-            return 0
-        return self.modulus // gcd(self.modulus, self.multiplier)
+        g = gcd(self.modulus, self.multiplier)
+        return abs(self.modulus) // g if g else 1
 
 
 def build_cut(bundle: CircleBundle, level: Fraction | int | str) -> CutContext:

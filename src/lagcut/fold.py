@@ -15,14 +15,16 @@ text, ", 0" once per zero, then ")".  Above the dimension one rule serves
 every ring: S_j = b_j up to dim and 0 above, so the shift by 2 takes
 S_{N-2} = 0 onto S_0 = 1 for N >= dim + 3, and S_{N-1} = 0 onto S_1 = b_1
 != 0 at N = dim + 2; such a fold is the ring's Betti text, then N - 1 - dim
-zeros.  Any other fold of a ring with a class in every degree, such as the
-torus, reads a view built once per ring: N strided sums of its Betti list
-below N^2 = 4 (dim + 1), and the list's chunks of N entries added above, in
-O(min(N, (dim + 1) / N)) steps.  Above N = (dim + 1) / 2 the text of S_j =
-b_j, j >= dim + 1 - N, is a slice of the Betti text, built when a second
-such fold reads it, so a ring folded there once never builds it.  Any other
-ring folds by its nonzero residues in O(|support|) steps, its Betti text in
-a second view.  Each view keeps one ring, by identity.
+zeros.  The witness and the dense folds read one view, which keeps the last
+ring folded, by identity.  For a ring with a class in every degree,
+such as the torus, the view is its Betti list: any fold below the witness
+takes N strided sums of it below N^2 = 4 (dim + 1), and adds its chunks of N
+entries above, in O(min(N, (dim + 1) / N)) steps.  Above N = (dim + 1) / 2
+the text of S_j = b_j, j >= dim + 1 - N, is a slice of the Betti text, which
+the view builds when a second such fold or witness reads it, so a ring
+folded there once never builds it.  For any other ring the view is its Betti
+text, and a fold below the witness goes by the ring's nonzero residues in
+O(|support|) steps.
 """
 
 from __future__ import annotations
@@ -85,7 +87,8 @@ def _fold_ring(ring: CohomologyRing, N: int) -> tuple[str, int, bool, int]:
     _check_modulus(N)
     dim = ring.dim
     if N >= dim + 3 or N == dim + 2 and ring.betti_number(1):
-        return _betti_text(ring), N - 1 - dim, False, 1
+        betti, text, _ = _view(ring, True)
+        return text or ", ".join(map(str, betti)), N - 1 - dim, False, 1
     if len(ring.support) == dim + 1 and N <= dim + 1:
         return _fold_dense(ring, N)
     residues = _fold_pairs(ring.support, N)
@@ -103,23 +106,6 @@ def _zero_runs(pairs: Sequence[tuple[int, int]]) -> str:
     return "".join(parts)
 
 
-def _betti_text(ring: CohomologyRing) -> str:
-    # b_0, ..., b_dim, read from the ring's view
-    if len(ring.support) == ring.dim + 1:
-        betti, text, _ = _dense_view(ring, True)
-        return text or ", ".join(map(str, betti))
-    global _last_text
-    last, text = _last_text
-    if last is not ring:
-        text = _zero_runs(ring.support)
-        _last_text = (ring, text)
-    return text
-
-
-# the last sparse ring whose Betti text was read, and that text, as _last_view
-_last_text: tuple[CohomologyRing | None, str] = (None, "")
-
-
 def _fold_dense(ring: CohomologyRing, N: int) -> tuple[str, int, bool, int]:
     # _fold_ring for a ring with every b_k >= 1 at N <= dim + 1, so every S_j
     # is nonzero.  Lists and map only: CPython frees a tuple(genexpr) of under
@@ -127,7 +113,7 @@ def _fold_dense(ring: CohomologyRing, N: int) -> tuple[str, int, bool, int]:
     # so those lists fill up.
     size = ring.dim + 1
     split = size - N  # S_j = b_j for j >= split
-    betti, text, ends = _dense_view(ring, 2 * split < size)
+    betti, text, ends = _view(ring, 2 * split < size)
     if N * N < 4 * size:  # where strided sums beat chunks
         S = [sum(betti[j::N]) for j in range(N)]
     else:
@@ -144,20 +130,23 @@ def _fold_dense(ring: CohomologyRing, N: int) -> tuple[str, int, bool, int]:
 
 _View = tuple[list[int], str | None, list[int] | None]
 
-# The last dense ring folded and its view: the Betti list, then its text and
-# ends, ends[k] the end of b_{k-1}'s text (-2 for k = 0).  Both are None until
-# a fold above (dim + 1) / 2 asks for them; that fold gets the text "" and
-# writes its entries itself, and the next one builds them.  The pair is
-# replaced whole, so a thread reads one ring with that ring's own view, and it
-# keeps the ring alive, so no other ring can be the same object.
+# The last ring folded and its view (see the module docstring).  A dense
+# ring's text and ends, ends[k] the end of b_{k-1}'s text (-2 for k = 0), are
+# None until a fold asks for them; that fold gets the text "" and writes its
+# entries itself, and the next one builds them.  The pair is replaced whole,
+# so a thread reads one ring with that ring's own view, and it keeps the ring
+# alive, so no other ring can be the same object.
 _last_view: tuple[CohomologyRing | None, _View] = (None, ([], None, None))
 
 
-def _dense_view(ring: CohomologyRing, with_text: bool) -> _View:
+def _view(ring: CohomologyRing, with_text: bool) -> _View:
     global _last_view
     last, view = _last_view
     if last is not ring:
-        view = (list(map(itemgetter(1), ring.support)), None, None)
+        if len(ring.support) == ring.dim + 1:
+            view = (list(map(itemgetter(1), ring.support)), None, None)
+        else:
+            view = ([], _zero_runs(ring.support), None)
         _last_view = (ring, view)
     if with_text and not view[1]:
         if view[1] is None:

@@ -227,6 +227,7 @@ def _divisors(n: int) -> list[int]:
 
 def _check_length(what: str, n: int) -> None:
     if n > MAX_LENGTH:
+        _check_digits(what, n)  # a grid size, a product of axes, can outgrow them
         raise ValueError(f"{what} is {n}, above the limit of {MAX_LENGTH}")
 
 

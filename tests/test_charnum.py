@@ -8,6 +8,7 @@ import pytest
 from lagcut.charnum import (
     CircleBundle,
     NotMonotoneLevelError,
+    TorsionConstraint,
     UndeterminableError,
     build_cut,
     maslov_exact,
@@ -125,3 +126,19 @@ def test_torsion_constraint_zero_modulus():
     assert constraint.satisfied(0)
     assert not constraint.satisfied(2)
     assert constraint.reduced_divisor == 0
+
+
+def test_reduced_divisor_agrees_with_satisfied():
+    # satisfied(N_L) holds exactly when N_L is a multiple of the reduced
+    # divisor, a divisor of 0 meaning N_L = 0 alone
+    for modulus in range(-12, 13):
+        for multiplier in range(-8, 9):
+            constraint = TorsionConstraint(modulus, multiplier)
+            divisor = constraint.reduced_divisor
+            assert divisor >= 0, (modulus, multiplier)
+            for N_L in range(-30, 31):
+                multiple = N_L == 0 if divisor == 0 else N_L % divisor == 0
+                assert constraint.satisfied(N_L) == multiple, (modulus, multiplier, N_L)
+    assert TorsionConstraint(0, 0).reduced_divisor == 1
+    assert TorsionConstraint(-6, 4).reduced_divisor == 3
+    assert TorsionConstraint(6, 0).reduced_divisor == 1

@@ -397,6 +397,10 @@ def test_fold_rejects_bad_specifiers():
         ("sphere:d=0,x=5", "invalid-dimension: sphere needs d >= 1"),
         ("sphere:x=5", "candidate kind 'sphere' needs d="),
         ("custom:betti=[1]],gens=[1]", "unbalanced ']' in 'betti=[1]],gens=[1]'"),
+        # and a spec that is not kind:key=value,...
+        ("custom:betti=[1,0,1", "unbalanced '[' in 'betti=[1,0,1'"),
+        ("sphere", "candidate 'sphere' must look like kind:key=value,..."),
+        ("sphere:d", "candidate field 'd' is not key=value"),
     ],
 )
 def test_fold_refuses_repeated_and_foreign_fields(spec, message):
@@ -922,8 +926,7 @@ def test_batch_rejects_malformed_file(tmp_path):
 
     path2 = tmp_path / "object.json"
     path2.write_text('{"command": "classes"}')
-    code, _ = run(["--batch", str(path2)])
-    assert code == 1
+    assert run(["--batch", str(path2)]) == (1, "usage error: batch file must hold a JSON array\n")
 
     path3 = write_batch(tmp_path, [{"command": "--batch", "args": ["x.json"]}])
     assert run(["--batch", path3]) == (1, "usage error: batch entry 0 must name a subcommand\n")
@@ -1050,6 +1053,16 @@ ABOVE = "1" + "0" * 4096  # the smallest int of 4,097 digits
         (
             ["scan", "--family", "exact", "--d", NINES, "--euler", "3"],
             f"an end of range '{NINES}' has more than 4096 digits",
+        ),
+        # a grid size is a product of axes, each within the limit, so it is
+        # checked on its own: 4,000 + 4,000 digits, and 2,100 + 2,100
+        (
+            ["scan", "--family", "torus", "--d", f"1..{NINES[:4000]}", "--euler", f"1..{NINES[:4000]}"],
+            "scan grid size has more than 4096 digits",
+        ),
+        (
+            ["scan", "--family", "lens", "--p", f"2..{NINES[:2100]}", "--n", f"1..{NINES[:2100]}"],
+            "scan grid size has more than 4096 digits",
         ),
         (
             ["fold", "--candidate", f"sphere:d={NINES}", "--modulus", "3"],

@@ -184,6 +184,8 @@ def run_full(argv):
 @example(["check", "exact", "--d", NINES, "--euler", "3", "--format", "json"])
 @example(["check", "lens", "--p", "7", "--n", NINES, "--format", "text"])
 @example(["scan", "--family", "exact", "--d", NINES, "--euler", "3", "--format", "json"])
+# a grid of two axes within the digit limit whose size is above it
+@example(["scan", "--family", "torus", "--d", f"1..{NINES[:4096]}", "--euler", f"1..{NINES[:4096]}", "--format", "text"])
 # a "--" glued to --level as its value
 @example(["classes", "--euler", "1", "--level", "--", "--dim", "0", "--format", "text"])
 # divisor checks at and just below the limit

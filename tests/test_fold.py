@@ -161,7 +161,8 @@ def test_witness_edges_above_the_dimension():
 def assert_threads_read_their_own_views(pair, moduli):
     # Each thread alternates the one-entry view between its ring and the
     # other's; a fold that read one ring with the other ring's view would
-    # print the wrong Betti numbers.
+    # print the wrong Betti numbers, or raise, which would end its thread
+    # unseen unless recorded.
     expected = {(r.dim, N): as_fold_mod(fold_mod(r, N)) for r in pair for N in moduli}
     failures = []
     # two threads per ring, so they outnumber the cores of a small host
@@ -169,11 +170,14 @@ def assert_threads_read_their_own_views(pair, moduli):
 
     def fold_many(ring):
         start.wait()
-        for _ in range(1000):
-            for N in moduli:
-                if folded(ring, N) != expected[ring.dim, N]:
-                    failures.append((ring.label, N))
-                    return
+        try:
+            for _ in range(1000):
+                for N in moduli:
+                    if folded(ring, N) != expected[ring.dim, N]:
+                        failures.append((ring.label, N))
+                        return
+        except Exception as error:  # the other ring's list or ends can raise
+            failures.append((ring.label, repr(error)))
 
     threads = [threading.Thread(target=fold_many, args=(r,)) for r in pair * 2]
     interval = sys.getswitchinterval()
@@ -197,10 +201,17 @@ def test_threads_folding_two_dense_rings_read_their_own_views():
 
 
 def test_threads_folding_two_sparse_rings_read_their_own_views():
-    # the Betti text of a sparse ring is a second one-entry view, built by
-    # a fold above its dimension
+    # a sparse ring's view is its Betti text, built by a fold above its dimension
     sparse = make_product_spheres(3, 70), make_sphere(150)
     assert_threads_read_their_own_views(sparse, (12, 75, 152, 40, 160, 153, 73, 300, 151, 76))
+
+
+def test_threads_folding_a_dense_and_a_sparse_ring_read_their_own_views():
+    # both kinds of ring share the one view: the torus folds by its witness
+    # (162 on), its Betti list (12, 40, 70) and the splice of its Betti text
+    # (100 to 161), and S^3 x S^70 by its witness (76 on) and its residues
+    pair = make_torus(160), make_product_spheres(3, 70)
+    assert_threads_read_their_own_views(pair, (12, 100, 161, 40, 150, 162, 70, 170, 158, 200))
 
 
 def test_dense_folds_hold_no_more_memory_as_they_repeat():

@@ -78,6 +78,15 @@ def test_nsc_inconclusive_below_range():
     assert verdict.trace[-1].cite == "grading-below-range"
 
 
+def test_nsc_maslov_range_step_exactly_from_d_plus_two():
+    for d in range(2, 14):
+        for N_e in range(1, 13):
+            for N in range(3, 2 * N_e + 1):
+                if 2 * N_e % N == 0:
+                    verdict = check_simply_connected_in_cut(d, N_e, N)
+                    assert ("oh-maslov-range" in cites(verdict)) == (N >= d + 2), (d, N_e, N)
+
+
 def test_nsc_grading_gate():
     with pytest.raises(HypothesisViolation) as info:
         check_simply_connected_in_cut(5, 4, 5)
@@ -419,6 +428,21 @@ def test_divisors_match_a_sieve():
         assert _divisors(n) == sieve[n], n
 
 
+@pytest.mark.parametrize(
+    "n, divisors, walks",
+    [
+        # the batch of 128 steps meets n, and stepping it again finds 139267
+        (21702394411, [1, 139267, 155833, 21702394411], [(21702394411,)]),
+        # the walk of c = 1 meets itself mod n, and the walk of c = 2 splits n
+        (1337218153, [1, 9473, 141161, 1337218153], [(1337218153,), (1337218153, 2)]),
+    ],
+)
+def test_divisors_when_the_first_rho_batch_meets_n(monkeypatch, n, divisors, walks):
+    calls = counting(monkeypatch, obstruct, "_proper_factor")
+    assert _divisors(n) == divisors
+    assert calls == walks
+
+
 @pytest.mark.parametrize("n", [10**6, 10**7 + 19])
 def test_divisors_of_a_square_and_a_large_prime(n):
     assert _divisors(n) == divisors_by_scan(n)
@@ -709,6 +733,53 @@ def test_a_scan_keeps_no_value_with_more_detail_than_the_limit(monkeypatch):
     assert [r.verdict for r in rows] == [check_torus(1024, 180), check_torus(1024, 360)]
 
 
+def detail_chars(value):
+    # the characters of detail in every TraceStep a value holds, at any depth
+    if type(value) is obstruct.TraceStep:
+        return len(value.detail)
+    return sum(map(detail_chars, value)) if type(value) is tuple else 0
+
+
+@pytest.mark.parametrize(
+    "family, ranges, build, builds, checks",
+    [
+        # S^1 x S^30000 excludes N = 30004, read by both rows, by a fold step
+        # of about 90,000 characters; the value holds it in a nested tuple
+        (
+            "prodsph",
+            {"l": [1], "m": [30000], "euler": [15002, 30004]},
+            "_product_grading",
+            {(1, 30000, 30004): 2, (1, 30000, 60008): 1},
+            [(check_product_spheres, (1, 30000, 15002)), (check_product_spheres, (1, 30000, 30004))],
+        ),
+        # so does S^30000 at N = 30004, forced by the local rule in both rows
+        (
+            "sphere",
+            {"d": [30000], "euler": [15002, 30004], "grading": [30004]},
+            "_sphere_fold",
+            {(30000, 30004): 2},
+            [(check_sphere, (30000, 15002, 30004)), (check_sphere, (30000, 30004, 30004))],
+        ),
+    ],
+)
+def test_a_scan_keeps_no_nested_value_with_more_detail_than_the_limit(
+    monkeypatch, family, ranges, build, builds, checks
+):
+    assert detail_chars(getattr(obstruct, build)(*next(iter(builds)))) > obstruct.MAX_SHARED_DETAIL
+    calls = counting(monkeypatch, obstruct, build)
+    kept, rows = [], []
+
+    def emit(row):
+        kept.append(max(map(detail_chars, obstruct._SCAN_MEMO.get().values())))
+        rows.append(row)
+
+    scan_rows(family, ranges, emit)
+    assert 0 < max(kept) <= obstruct.MAX_SHARED_DETAIL
+    assert collections.Counter(calls) == builds
+    monkeypatch.undo()
+    assert [r.verdict for r in rows] == [check(*args) for check, args in checks]
+
+
 def check_torus_builds(monkeypatch, d, N_e):
     # the gradings two lone checks build
     builds = counting(monkeypatch, obstruct, "_torus_grading")
@@ -789,6 +860,22 @@ def test_scan_refuses_a_grid_above_the_limit_before_reading_it():
         scan("lens", {"p": range(0, 40000, 2), "euler": [1]})
     # an empty axis leaves no rows, however long the others
     assert scan("lens", {"p": range(2, 10**12), "n": []}) == []
+
+
+def test_scan_refuses_a_grid_size_too_long_to_print():
+    # CPython prints ints of at most 4,300 digits; a grid size of more than
+    # MAX_DIGITS digits is refused by its length, not printed
+    message = f"^scan grid size has more than {MAX_DIGITS} digits$"
+    for ranges in (
+        {"p": range(2, 10**4400), "n": [1]},
+        {"p": range(2, 10**4200), "n": [1]},
+        {"p": range(1, 10**4000), "n": range(1, 10**4000)},
+    ):
+        with pytest.raises(ValueError, match=message):
+            scan("lens", ranges)
+    # just under the bound the size is printed
+    with pytest.raises(ValueError, match=f"^scan grid size is {10**MAX_DIGITS - 1}, above"):
+        scan("lens", {"p": range(1, 10**MAX_DIGITS), "n": [1]})
 
 
 def test_scan_reads_an_axis_to_one_value_past_the_limit():
